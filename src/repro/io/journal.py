@@ -11,9 +11,11 @@ and the serve subsystem's queue/results journals:
 * **Append-only, one record per line.**  A record is written only after
   its unit of work finished; partially-executed work leaves no trace.
 * **Atomic line writes.**  Each record is serialized first and written
-  as a single ``write`` + flush + fsync under a lock, so concurrent
-  writer threads never interleave bytes and a crash can corrupt at most
-  the final line.
+  as a single ``write`` + fsync under a lock, so concurrent writer
+  threads never interleave bytes and a crash can corrupt at most the
+  final line.  A write that fails part-way (``ENOSPC``, ``EIO``) is
+  truncated away before the error reaches the caller, so a torn
+  fragment can never glue itself onto the next acknowledged record.
 * **Tolerant loading.**  Undecodable lines (the torn tail of a killed
   run) and records with an unknown ``schema`` version are counted and
   skipped, never fatal — the work they describe simply re-executes.
@@ -26,10 +28,14 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
+
+if sys.platform != "win32":
+    import fcntl
 
 __all__ = ["Journal", "LoadReport"]
 
@@ -164,11 +170,7 @@ class Journal:
         with self._lock:
             if key in self._index:
                 return False
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
+            self._write(line)
             self._index[key] = record
         return True
 
@@ -177,10 +179,10 @@ class Journal:
 
         The batched form of :meth:`append_record` for high-volume
         writers (the span journal): all new lines are serialized
-        first, written in one ``write`` + flush + fsync under the
-        lock, and indexed together.  Keys already present are skipped,
-        exactly as in the single-record protocol.  Returns the number
-        of records actually written.
+        first, written in one ``write`` + fsync under the lock, and
+        indexed together.  Keys already present are skipped, exactly
+        as in the single-record protocol.  Returns the number of
+        records actually written.
         """
         with self._lock:
             fresh: list[tuple[object, dict, str]] = []
@@ -194,16 +196,35 @@ class Journal:
                 )
             if not fresh:
                 return 0
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(
-                    "".join(line + "\n" for _, _, line in fresh)
-                )
-                handle.flush()
-                os.fsync(handle.fileno())
+            self._write("".join(line + "\n" for _, _, line in fresh))
             for key, record, _ in fresh:
                 self._index[key] = record
         return len(fresh)
+
+    def _write(self, text: str) -> None:
+        """Durably append whole lines, or leave the file as it was.
+
+        Unbuffered, so no unwritten bytes outlive a failure; if the
+        write or the fsync raises, the file is cut back to its size
+        before the call and the error propagates (the caller's index
+        stays untouched).  The exclusive ``flock`` keeps other
+        processes appending to the same file (sharded claim queues)
+        from landing a line inside the span the truncation removes.
+        """
+        data = text.encode("utf-8")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with self.path.open("ab", buffering=0) as handle:
+            if sys.platform != "win32":
+                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+            size = os.fstat(handle.fileno()).st_size
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[handle.write(view):]
+                os.fsync(handle.fileno())
+            except BaseException:
+                handle.truncate(size)
+                raise
 
     def merge_from(self, other) -> int:
         """Append every record from ``other`` not already present here.

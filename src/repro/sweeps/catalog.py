@@ -11,14 +11,17 @@ plus the extension studies) is registered here as a
   printed tables (:class:`~repro.sweeps.render.Table`) the legacy
   benchmarks produced — byte-identical, as pinned by the golden-parity
   suite in ``tests/sweeps/test_catalog_parity.py``;
+* ``check(records)`` asserts the paper's qualitative claims on the
+  records (who wins, orderings, crossovers) and returns the headline
+  figures worth recording, e.g. Fig. 15's mean % mitigated;
 * ``followup(spec, records)`` (rare) yields data-dependent second-stage
   points — e.g. Fig. 13's ideal trace, whose iteration count is the
   maximum over the budgeted noisy runs.
 
-``benchmarks/bench_*.py`` are thin shims over these entries, and the
-``repro reproduce`` CLI runs any subset of the catalog against one
-shared, resumable result store — the whole paper regenerates through a
-single checkpointed pipeline.
+The golden-parity suite runs every check, ``benchmarks/bench_catalog.py``
+runs each entry as one benchmark, and the ``repro reproduce`` CLI runs
+any subset of the catalog against one shared, resumable result store —
+the whole paper regenerates through a single checkpointed pipeline.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from ..analysis.scale import scaled
+from ..analysis.scale import is_full_scale, scaled
 from .aggregate import select
 from .render import Table, fmt
 from .runner import run_sweep
@@ -50,13 +53,16 @@ MUMBAI2 = {"preset": "ibmq_mumbai_like", "scale": 2.0}
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One benchmark grid: spec builder + record-to-table reshaper."""
+    """One benchmark grid: spec builder, table reshaper, claim check."""
 
     name: str
     figure: str
     title: str
     build: Callable[[], SweepSpec]
     tables: Callable[[list], list]
+    #: Asserts the entry's claims on its records (``AssertionError``
+    #: when one fails) and returns the figures a benchmark records.
+    check: Callable[[list[dict]], dict[str, float]]
     followup: Callable[[SweepSpec, list], Iterable[Point]] | None = None
     #: Optional text normalizer applied before golden comparison (only
     #: for entries whose printed tables contain volatile wall-clock
@@ -104,13 +110,27 @@ class EntryOutcome:
 
     def tables(self) -> list[Table]:
         """The entry's printed tables (requires a complete grid)."""
+        return self.entry.tables(self._complete_records())
+
+    def check(self) -> dict[str, float]:
+        """Assert the entry's claims; return its recorded figures.
+
+        Requires a complete grid, like :meth:`tables`.  The checks are
+        ``assert`` statements, so ``python -O`` (which strips them) is
+        refused rather than allowed to pass every claim.
+        """
+        if not __debug__:
+            raise RuntimeError("catalog checks need asserts (no -O)")
+        return self.entry.check(self._complete_records())
+
+    def _complete_records(self) -> list[dict]:
         if not self.complete:
             raise RuntimeError(
                 f"entry {self.entry.name!r} is not complete "
                 f"({len(self.records)}/{self.total} points stored); "
                 "re-run without --limit to finish it"
             )
-        return self.entry.tables(self.records)
+        return self.records
 
     def summary(self) -> str:
         """One-line progress summary (the CLI's report line)."""
@@ -287,12 +307,27 @@ def _tables_fig6_fig7(records: list) -> list[Table]:
     ]
 
 
+def _check_fig6_fig7(records: list) -> dict[str, float]:
+    stats = _one(records, point__task="structure")["result"]
+    assert stats["paulis"] == 10
+    assert stats["cover_groups"] == 7
+    assert stats["jigsaw"] == 21
+    assert stats["varsaw"] == 9
+    counts = {
+        r["point"]["options"]["label"]: r["result"]["parents"]
+        for r in select(records, point__task="commuting_parents")
+    }
+    assert counts == {"III": 26, "IIZ": 8, "IZZ": 2, "ZZZ": 0}
+    return {}
+
+
 _register(CatalogEntry(
     name="fig6_fig7",
     figure="Figs. 6 & 7",
     title="Commutation worked example and commutativity graph",
     build=_build_fig6_fig7,
     tables=_tables_fig6_fig7,
+    check=_check_fig6_fig7,
 ))
 
 
@@ -326,12 +361,36 @@ def _tables_fig8(records: list) -> list[Table]:
     return [Table("Fig. 8: circuits per VQA iteration", headers, rows)]
 
 
+def _check_fig8(records: list) -> dict[str, float]:
+    from ..core import jigsaw_cost, traditional_cost, varsaw_cost
+
+    for q in FIG8_QUBITS:
+        # JigSaw is the costliest curve everywhere.
+        assert jigsaw_cost(q) >= traditional_cost(q)
+        # Sparsity strictly orders the VarSaw family.
+        costs = [varsaw_cost(q, k) for k in FIG8_SPARSITIES]
+        assert costs == sorted(costs, reverse=True)
+    # VarSaw k=1 overlaps Traditional at scale (the figure's overlap).
+    assert varsaw_cost(1000, 1.0) / traditional_cost(1000) < 1.01
+    # VarSaw is at least O(Q) below JigSaw.
+    assert jigsaw_cost(1000) / varsaw_cost(1000, 1.0) > 500
+    # High sparsity beats even the baseline (Section 3.3).
+    assert varsaw_cost(100, 0.001) < traditional_cost(100)
+    # Asymptotic slopes on the log-log plot: the cost ratio at 2x Q.
+    slope = jigsaw_cost(1000) / jigsaw_cost(500)
+    assert 2**5 * 0.8 < slope < 2**5 * 1.2  # ~Q^5
+    slope_trad = traditional_cost(1000) / traditional_cost(500)
+    assert abs(slope_trad - 2**4) < 0.5  # ~Q^4
+    return {}
+
+
 _register(CatalogEntry(
     name="fig8",
     figure="Fig. 8",
     title="Circuits per VQA iteration vs qubit count",
     build=_build_fig8,
     tables=_tables_fig8,
+    check=_check_fig8,
 ))
 
 
@@ -388,12 +447,47 @@ def _tables_fig9(records: list) -> list[Table]:
     )]
 
 
+def _check_fig9(records: list) -> dict[str, float]:
+    free, noisy = (
+        {
+            kind: _one(records, point__device__preset=preset,
+                       point__scheme=kind)["result"]
+            for kind in FIG9_KINDS
+        }
+        for preset in ("ideal", "ibmq_mumbai_like")
+    )
+    ideal_energy = records[0]["result"]["ideal_energy"]
+    # Max-Sparsity completes more iterations in both settings (it skips
+    # the per-iteration Globals).
+    for setting in (free, noisy):
+        assert (
+            setting["varsaw_max_sparsity"]["iterations"]
+            > setting["varsaw_no_sparsity"]["iterations"]
+        )
+    # Noise-free: No-Sparsity reaches at-least-as-low energy (the frozen
+    # Global hurts Max-Sparsity).
+    assert (
+        free["varsaw_no_sparsity"]["energy"]
+        <= free["varsaw_max_sparsity"]["energy"] + 0.05
+    )
+    # Noisy: Max-Sparsity is competitive — within a small margin or
+    # better (the paper observes it marginally winning).
+    gap = (
+        noisy["varsaw_max_sparsity"]["energy"]
+        - noisy["varsaw_no_sparsity"]["energy"]
+    )
+    spread = abs(ideal_energy) * 0.1 + 1.0
+    assert gap < spread
+    return {}
+
+
 _register(CatalogEntry(
     name="fig9",
     figure="Fig. 9",
     title="Global-sparsity extremes, noise-free vs noisy (CH4-6)",
     build=_build_fig9,
     tables=_tables_fig9,
+    check=_check_fig9,
 ))
 
 
@@ -414,7 +508,7 @@ def _build_fig12() -> SweepSpec:
 
 
 def fig12_rows(records: list) -> list[dict]:
-    """Fig. 12 row dicts from stored records (shared with the shim)."""
+    """Fig. 12 row dicts from stored records (shared with the check)."""
     rows = []
     for record in records:
         result = record["result"]
@@ -443,12 +537,37 @@ def _tables_fig12(records: list) -> list[Table]:
     )]
 
 
+def _check_fig12(records: list) -> dict[str, float]:
+    from ..analysis import geometric_mean
+
+    rows = fig12_rows(records)
+    by_key = {r["key"]: r for r in rows}
+    # JigSaw's relative overhead grows with qubit count...
+    assert by_key["H2-4"]["jig_rel"] < by_key["CH4-8"]["jig_rel"]
+    assert by_key["CH4-8"]["jig_rel"] < by_key["C2H4-20"]["jig_rel"]
+    # ...while VarSaw's relative subset count shrinks.
+    assert by_key["CH4-6"]["var_rel"] > by_key["H6-10"]["var_rel"]
+    assert by_key["H6-10"]["var_rel"] > by_key["C2H4-20"]["var_rel"]
+    # Reduction ratio grows with size; the largest system exceeds 100x
+    # (paper: >1000x for Cr2-34, which runs at full scale).
+    ratios = [r["ratio"] for r in rows]
+    assert ratios[-1] == max(ratios)
+    assert by_key["C2H4-20"]["ratio"] > 100
+    if "Cr2-34" in by_key:
+        assert by_key["Cr2-34"]["ratio"] > 1000
+    # Mean reduction is the paper's order of magnitude (paper: ~25x).
+    mean_ratio = geometric_mean(ratios)
+    assert mean_ratio > 10
+    return {"geomean_reduction_ratio": mean_ratio}
+
+
 _register(CatalogEntry(
     name="fig12",
     figure="Fig. 12",
     title="Pauli-term reduction in measurement subsets vs JigSaw",
     build=_build_fig12,
     tables=_tables_fig12,
+    check=_check_fig12,
 ))
 
 
@@ -510,12 +629,27 @@ def _tables_fig13(records: list) -> list[Table]:
     )]
 
 
+def _check_fig13(records: list) -> dict[str, float]:
+    runs = {r["point"]["scheme"]: r["result"] for r in records}
+    # JigSaw completes the fewest iterations (its per-iteration cost is
+    # ~Qx higher); VarSaw completes the most of the mitigated schemes.
+    assert runs["varsaw"]["iterations"] > 3 * runs["jigsaw"]["iterations"]
+    assert runs["baseline"]["iterations"] > runs["jigsaw"]["iterations"]
+    # VarSaw achieves the best energy among the noisy schemes.
+    noisy_best = min(runs[k]["energy"] for k in ("baseline", "jigsaw"))
+    assert runs["varsaw"]["energy"] <= noisy_best + 0.05
+    # And the ideal is the floor.
+    assert runs["ideal"]["energy"] <= runs["varsaw"]["energy"] + 1e-9
+    return {}
+
+
 _register(CatalogEntry(
     name="fig13",
     figure="Fig. 13",
     title="CH4 VQE energy traces under a fixed circuit budget",
     build=_build_fig13,
     tables=_tables_fig13,
+    check=_check_fig13,
     followup=_followup_fig13,
 ))
 
@@ -547,7 +681,7 @@ def _build_fig14() -> SweepSpec:
 
 
 def fig14_rows(records: list) -> list[dict]:
-    """Fig. 14's per-workload summary rows (shared with the shim)."""
+    """Fig. 14's per-workload summary rows (shared with the check)."""
     rows = []
     for key in _keys_in_order(records):
         base = _one(records, point__workload__key=key,
@@ -584,12 +718,27 @@ def _tables_fig14(records: list) -> list[Table]:
     )]
 
 
+def _check_fig14(records: list) -> dict[str, float]:
+    rows = fig14_rows(records)
+    mean = sum(r["mitigated"] for r in rows) / len(rows)
+    # VarSaw improves on the baseline for most workloads and on average
+    # (paper: 45% mean).
+    improved = [r for r in rows if r["mitigated"] > 0]
+    assert len(improved) >= len(rows) - 1
+    assert mean > 10
+    # Globals are sparse: far fewer than one per evaluation.
+    for r in rows:
+        assert r["global_fraction"] < 0.6, r["key"]
+    return {"mean_mitigated_pct": mean}
+
+
 _register(CatalogEntry(
     name="fig14",
     figure="Fig. 14",
     title="% of noisy-VQE inaccuracy mitigated by VarSaw",
     build=_build_fig14,
     tables=_tables_fig14,
+    check=_check_fig14,
 ))
 
 
@@ -628,7 +777,7 @@ def _build_fig15() -> SweepSpec:
 
 
 def fig15_rows(records: list) -> list[dict]:
-    """Fig. 15 row dicts from stored records (shared with the shim)."""
+    """Fig. 15 row dicts from stored records (shared with the check)."""
     rows = []
     for key in _keys_in_order(records):
         jig = _one(records, point__workload__key=key,
@@ -669,12 +818,33 @@ def _tables_fig15(records: list) -> list[Table]:
     )]
 
 
+def _check_fig15(records: list) -> dict[str, float]:
+    rows = fig15_rows(records)
+    for r in rows:
+        # The economic mechanism: VarSaw runs far more iterations.
+        assert (
+            r["varsaw"]["iterations"] > 2 * r["jigsaw"]["iterations"]
+        ), r["key"]
+    # And converts them into better energy on average (the paper's 55%
+    # comes from the full 2000-iteration regime; quick scale shows the
+    # same direction at smaller magnitude).
+    mean = sum(r["mitigated"] for r in rows) / len(rows)
+    assert mean > 5
+    wins = [
+        r for r in rows
+        if r["varsaw"]["energy"] <= r["jigsaw"]["energy"]
+    ]
+    assert len(wins) >= len(rows) - 1
+    return {"mean_mitigated_pct": mean}
+
+
 _register(CatalogEntry(
     name="fig15",
     figure="Fig. 15",
     title="VQE accuracy of VarSaw over JigSaw at fixed budget",
     build=_build_fig15,
     tables=_tables_fig15,
+    check=_check_fig15,
 ))
 
 
@@ -727,12 +897,29 @@ def _tables_fig16(records: list) -> list[Table]:
     )]
 
 
+def _check_fig16(records: list) -> dict[str, float]:
+    for name, device in FIG16_DEVICES:
+        runs = {
+            r["point"]["scheme"]: r["result"]
+            for r in select(records, point__device__preset=device["preset"])
+        }
+        sparse = runs["varsaw_max_sparsity"]
+        dense = runs["varsaw_no_sparsity"]
+        # Sparse VarSaw completes several times the iterations (paper:
+        # ~4x).
+        assert sparse["iterations"] > 1.5 * dense["iterations"], name
+        # And its objective is at least competitive.
+        assert sparse["energy"] <= dense["energy"] + 0.3, name
+    return {}
+
+
 _register(CatalogEntry(
     name="fig16",
     figure="Fig. 16",
     title="VarSaw temporal optimization on device models (TFIM-5)",
     build=_build_fig16,
     tables=_tables_fig16,
+    check=_check_fig16,
 ))
 
 
@@ -774,12 +961,24 @@ def _tables_fig17(records: list) -> list[Table]:
     )]
 
 
+def _check_fig17(records: list) -> dict[str, float]:
+    runs = {r["point"]["scheme"]: r["result"] for r in records}
+    sparse = runs["varsaw_max_sparsity"]
+    dense = runs["varsaw_no_sparsity"]
+    # More iterations for the same budget...
+    assert sparse["iterations"] > 1.5 * dense["iterations"]
+    # ...and a final energy that is competitive or better.
+    assert sparse["energy"] <= dense["energy"] + 0.2
+    return {}
+
+
 _register(CatalogEntry(
     name="fig17",
     figure="Fig. 17",
     title="Global sparsity at ansatz depth p = 4 (LiH-6)",
     build=_build_fig17,
     tables=_tables_fig17,
+    check=_check_fig17,
 ))
 
 
@@ -826,12 +1025,27 @@ def _tables_fig18(records: list) -> list[Table]:
     )]
 
 
+def _check_fig18(records: list) -> dict[str, float]:
+    for key in _keys_in_order(records):
+        plain = _one(records, point__workload__key=key,
+                     point__estimator={})["result"]
+        stacked = _one(records, point__workload__key=key,
+                       point__estimator={"mbm": True})["result"]
+        ideal = plain["ideal_energy"]
+        err_plain = abs(plain["energy"] - ideal)
+        err_stacked = abs(stacked["energy"] - ideal)
+        # MBM stacking never hurts beyond noise (paper: ~0-10% gain).
+        assert err_stacked <= err_plain * 1.25 + 0.05, key
+    return {}
+
+
 _register(CatalogEntry(
     name="fig18",
     figure="Fig. 18",
     title="Stacking VarSaw with matrix-based mitigation",
     build=_build_fig18,
     tables=_tables_fig18,
+    check=_check_fig18,
 ))
 
 
@@ -872,7 +1086,7 @@ def _build_fig19() -> SweepSpec:
 
 
 def fig19_rows(records: list) -> list[dict]:
-    """Fig. 19 row dicts from stored records (shared with the shim)."""
+    """Fig. 19 row dicts from stored records (shared with the check)."""
     from ..core import count_varsaw_subsets
     from ..hamiltonian import build_hamiltonian
 
@@ -913,12 +1127,33 @@ def _tables_fig19(records: list) -> list[Table]:
     )]
 
 
+def _check_fig19(records: list) -> dict[str, float]:
+    by_key: dict = {}
+    for r in fig19_rows(records):
+        by_key.setdefault(r["key"], []).append(r)
+    for key, rows in by_key.items():
+        window2 = rows[0]  # rows follow FIG19_WINDOWS, 2 first
+        best_improvement = max(r["improvement"] for r in rows)
+        fewest_subsets = min(r["subsets"] for r in rows)
+        # Appendix A's conclusion: the 2-qubit window is the clear
+        # choice — its accuracy is within the (low) variance across
+        # window sizes while its circuit count is at (or near) the
+        # minimum.
+        assert window2["improvement"] >= 0.7 * best_improvement, key
+        assert window2["subsets"] <= 1.5 * fewest_subsets, key
+        # Mitigation is positive at every window size.
+        for r in rows:
+            assert r["improvement"] > 0, (key, r["window"])
+    return {}
+
+
 _register(CatalogEntry(
     name="fig19",
     figure="Fig. 19",
     title="Subset-size sweep at optimal parameters",
     build=_build_fig19,
     tables=_tables_fig19,
+    check=_check_fig19,
 ))
 
 
@@ -952,7 +1187,7 @@ def _build_table1() -> SweepSpec:
 
 
 def table1_rows(records: list) -> list[dict]:
-    """Table 1 row dicts from stored records (shared with the shim)."""
+    """Table 1 row dicts from stored records (shared with the check)."""
     rows = []
     for key in TABLE1_KEYS:
         ref_record = _one(records, point__workload__key=key,
@@ -986,12 +1221,29 @@ def _tables_table1(records: list) -> list[Table]:
     )]
 
 
+def _check_table1(records: list) -> dict[str, float]:
+    from ..analysis import energy_error
+
+    rows = table1_rows(records)
+    for r in rows:
+        # JigSaw lands strictly closer to the reference than the noisy
+        # run.
+        assert energy_error(r["jigsaw"], r["ref"]) < energy_error(
+            r["noisy"], r["ref"]
+        ), r["key"]
+    # Meaningful recovery on average (paper: >70%).
+    mean_recovered = sum(r["recovered"] for r in rows) / len(rows)
+    assert mean_recovered > 40
+    return {"mean_recovered_pct": mean_recovered}
+
+
 _register(CatalogEntry(
     name="table1",
     figure="Table 1",
     title="JigSaw circuit-level mitigation at optimal parameters",
     build=_build_table1,
     tables=_tables_table1,
+    check=_check_table1,
 ))
 
 
@@ -1034,6 +1286,9 @@ def _build_table3() -> SweepSpec:
     )
 
 
+TABLE4_DEPTHS = [1, 2, 4, 8]
+
+
 def _build_table4() -> SweepSpec:
     keys = scaled(["CH4-6"], ["CH4-6", "H2O-6", "LiH-6"])
     return SweepSpec(
@@ -1044,13 +1299,13 @@ def _build_table4() -> SweepSpec:
             "seed": 4,
             "max_iterations": 100_000,
         },
-        cells=_selective_cells(keys, [1, 2, 4, 8], "reps"),
+        cells=_selective_cells(keys, TABLE4_DEPTHS, "reps"),
         axes={"scheme": ["varsaw_no_sparsity", "varsaw"]},
     )
 
 
 def selective_table(records: list, field_name: str, variations) -> dict:
-    """Table 3/4 cells keyed ``(key, variation)`` (shared with shims)."""
+    """Table 3/4 cells keyed ``(key, variation)`` (shared with the checks)."""
     table = {}
     for key in _keys_in_order(records):
         for variation in variations:
@@ -1103,13 +1358,48 @@ def _tables_table3(records: list) -> list[Table]:
 
 
 def _tables_table4(records: list) -> list[Table]:
-    depths = [1, 2, 4, 8]
     return [Table(
         "Table 4: % inaccuracy mitigated by selective Globals, "
         "per depth p (sparse/dense iterations in parentheses)",
-        ["Workload"] + [f"p = {p}" for p in depths],
-        _selective_rows(records, "reps", depths),
+        ["Workload"] + [f"p = {p}" for p in TABLE4_DEPTHS],
+        _selective_rows(records, "reps", TABLE4_DEPTHS),
     )]
+
+
+def _check_selective(records, field_name, variations) -> list[float]:
+    """Table 3/4's per-cell claims; returns each cell's % mitigated."""
+    cells = selective_table(records, field_name, variations).values()
+    for cell in cells:
+        # The economics: selective execution completes far more
+        # iterations under the same budget...
+        assert cell["sparse_iters"] > 1.5 * cell["dense_iters"]
+        # ...without giving up energy beyond run-to-run noise.
+        assert cell["gap"] < 0.25
+    return [cell["mitigated"] for cell in cells]
+
+
+def _check_table3(records: list) -> dict[str, float]:
+    from ..ansatz import ENTANGLEMENT_TYPES
+
+    values = _check_selective(
+        records, "entanglement", list(ENTANGLEMENT_TYPES)
+    )
+    if is_full_scale():
+        # The paper's Table 3: positive mitigation in every cell.
+        assert sum(values) / len(values) > 0
+        assert sum(1 for v in values if v > 0) >= len(values) - 1
+    return {}
+
+
+def _check_table4(records: list) -> dict[str, float]:
+    values = _check_selective(records, "reps", TABLE4_DEPTHS)
+    if is_full_scale():
+        # Paper's Table 4 shape: positive everywhere except (at most)
+        # one marginal cell.
+        assert sum(values) / len(values) > 0
+        negatives = [v for v in values if v <= 0]
+        assert len(negatives) <= max(1, len(values) // 6)
+    return {}
 
 
 _register(CatalogEntry(
@@ -1118,6 +1408,7 @@ _register(CatalogEntry(
     title="Selective-execution benefit across ansatz types",
     build=_build_table3,
     tables=_tables_table3,
+    check=_check_table3,
 ))
 
 _register(CatalogEntry(
@@ -1126,6 +1417,7 @@ _register(CatalogEntry(
     title="Selective-execution benefit across ansatz depths",
     build=_build_table4,
     tables=_tables_table4,
+    check=_check_table4,
 ))
 
 
@@ -1163,7 +1455,7 @@ def _build_table5() -> SweepSpec:
 
 
 def table5_grid(records: list) -> dict:
-    """``{scale: {scheme: energy}}`` in grid order (shared with shim)."""
+    """``{scale: {scheme: energy}}`` in grid order (shared with the check)."""
     grid: dict = {}
     for record in records:
         scale = record["point"]["device"]["scale"]
@@ -1190,12 +1482,34 @@ def _tables_table5(records: list) -> list[Table]:
     )]
 
 
+def _check_table5(records: list) -> dict[str, float]:
+    grid = table5_grid(records)
+    wins = 0
+    for scale, runs in grid.items():
+        if runs["varsaw_max_sparsity"] <= runs["baseline"] + 1e-9:
+            wins += 1
+        # Max-Sparsity tracks No-Sparsity (within a scale-dependent
+        # band).
+        band = 0.3 + 0.4 * scale
+        assert (
+            runs["varsaw_max_sparsity"] - runs["varsaw_no_sparsity"] < band
+        ), scale
+    # Max-Sparsity beats the unmitigated baseline at (almost) every
+    # scale.
+    assert wins >= len(grid) - 1
+    # Energies degrade (rise) as noise grows for the baseline.
+    energies = [grid[s]["baseline"] for s in sorted(grid)]
+    assert energies[0] < energies[-1]
+    return {}
+
+
 _register(CatalogEntry(
     name="table5",
     figure="Table 5",
     title="Global sparsity across noise scales (H2O-6)",
     build=_build_table5,
     tables=_tables_table5,
+    check=_check_table5,
 ))
 
 
@@ -1223,7 +1537,7 @@ def _build_sec67() -> SweepSpec:
 
 
 def sec67_rows(records: list) -> list[dict]:
-    """Section 6.7 row dicts from stored records (shared with the shim)."""
+    """Section 6.7 row dicts from stored records (shared with the check)."""
     rows = []
     for key in _keys_in_order(records):
         counts = _one(records, point__task="structure",
@@ -1259,12 +1573,41 @@ def _tables_sec67(records: list) -> list[Table]:
     )]
 
 
+def _check_sec67(records: list) -> dict[str, float]:
+    rows = sec67_rows(records)
+    for r in rows:
+        # Spatial alone already beats JigSaw substantially...
+        assert r["spatial"] < 0.5 * r["jigsaw"], r["key"]
+        # ...temporal stacks on top: full VarSaw under spatial-only...
+        assert r["full"] < r["spatial"], r["key"]
+        # ...and the paper's headline stack-up: full VarSaw is several
+        # times below JigSaw and at worst on par with the baseline (the
+        # "below baseline" margin widens with molecule size — see the
+        # largest-workload check below).
+        assert r["jigsaw"] / r["full"] > 4, r["key"]
+        assert r["full"] < 1.1 * r["baseline"], r["key"]
+        # Temporal-only (keep JigSaw's unreduced subsets, sparse
+        # globals) is still far above full VarSaw — temporal
+        # optimization is only really useful after spatial (the paper's
+        # Section 6.7 note).
+        jig_subsets = r["jigsaw"] - r["baseline"]
+        temporal_only = r["fraction"] * r["baseline"] + jig_subsets
+        assert temporal_only > r["full"], r["key"]
+    # Subsets shrink relative to the baseline as molecules grow, so the
+    # largest workload in the sweep lands strictly below the baseline —
+    # the >10x full-scale figure comes from the biggest systems.
+    largest = max(rows, key=lambda r: r["baseline"])
+    assert largest["full"] < largest["baseline"]
+    return {}
+
+
 _register(CatalogEntry(
     name="sec67",
     figure="Section 6.7",
     title="Isolated effect of each VarSaw optimization",
     build=_build_sec67,
     tables=_tables_sec67,
+    check=_check_sec67,
 ))
 
 
@@ -1303,12 +1646,33 @@ def _tables_ext_calibration_gating(records: list) -> list[Table]:
     )]
 
 
+def _check_ext_calibration_gating(records: list) -> dict[str, float]:
+    by = {}
+    for record in records:
+        threshold = record["point"]["options"]["threshold"]
+        label = "off" if threshold is None else f"{threshold:g}"
+        by[label] = record["result"]
+    # A permissive threshold keeps everything (== VarSaw).
+    assert by["0.0001"]["skipped"] == 0
+    assert by["0.0001"]["circuits"] == by["off"]["circuits"]
+    # The intended operating point prunes the clean-line windows at
+    # near-zero accuracy cost.
+    assert by["0.01"]["skipped"] > 0
+    assert by["0.01"]["circuits"] < by["off"]["circuits"]
+    assert by["0.01"]["error"] < by["off"]["error"] + 0.15
+    # Gating everything degenerates toward the unmitigated baseline:
+    # maximal savings, and accuracy is allowed to suffer.
+    assert by["0.1"]["circuits"] <= by["0.01"]["circuits"]
+    return {}
+
+
 _register(CatalogEntry(
     name="ext_calibration_gating",
     figure="Extension (§7.1)",
     title="Calibration-gated subsetting threshold sweep",
     build=_build_ext_calibration_gating,
     tables=_tables_ext_calibration_gating,
+    check=_check_ext_calibration_gating,
 ))
 
 
@@ -1387,12 +1751,44 @@ def _tables_ext_drift_frontier(records: list) -> list[Table]:
     )]
 
 
+def _check_ext_drift_frontier(records: list) -> dict[str, float]:
+    by = {}
+    for record in records:
+        options = record["point"]["options"]
+        by[(options["magnitude"], options["policy"])] = record["result"]
+    # Detection: the online policy re-calibrates iff there is drift —
+    # no false alarms at zero drift, at least one alarm per step.
+    for policy in DRIFT_POLICIES:
+        assert by[(0.0, policy)]["recalibrations"] == 0
+    for magnitude in (1.0, 2.0):
+        assert by[(magnitude, "online")]["recalibrations"] > 0
+        # Static scheduling has no detector at all.
+        assert by[(magnitude, "static")]["recalibrations"] == 0
+    # Cost ordering at every magnitude: static executes the fewest
+    # circuits, the oracle (fresh Globals every epoch) the most, and
+    # the online policy sits between — probes are cheaper than
+    # paranoid re-calibration.
+    for magnitude in DRIFT_MAGNITUDES:
+        static = by[(magnitude, "static")]["circuits"]
+        online = by[(magnitude, "online")]["circuits"]
+        oracle = by[(magnitude, "oracle")]["circuits"]
+        assert static < online < oracle
+    # Drift hurts every policy: heavier drift, larger mean error.
+    for policy in DRIFT_POLICIES:
+        assert (
+            by[(2.0, policy)]["mean_error"]
+            > by[(0.0, policy)]["mean_error"]
+        )
+    return {}
+
+
 _register(CatalogEntry(
     name="ext_drift_frontier",
     figure="Extension (drift)",
     title="Re-calibration policy cost/accuracy frontier under drift",
     build=_build_ext_drift_frontier,
     tables=_tables_ext_drift_frontier,
+    check=_check_ext_drift_frontier,
 ))
 
 
@@ -1464,12 +1860,32 @@ def _tables_ext_drift_schedules(records: list) -> list[Table]:
     )]
 
 
+def _check_ext_drift_schedules(records: list) -> dict[str, float]:
+    by = {
+        record["point"]["options"]["schedule"]: record["result"]
+        for record in records
+    }
+    # The zero-drift schedule must not trip the detector; every
+    # drifting kind must.
+    assert by["constant"]["recalibrations"] == 0
+    for label in ("step", "linear", "sine", "random_walk"):
+        assert by[label]["recalibrations"] > 0
+        assert (
+            by[label]["peak_statistic"]
+            > by["constant"]["peak_statistic"]
+        )
+    # Oscillating drift keeps alarming as the rates swing.
+    assert by["sine"]["recalibrations"] >= by["step"]["recalibrations"]
+    return {}
+
+
 _register(CatalogEntry(
     name="ext_drift_schedules",
     figure="Extension (drift)",
     title="Online re-calibration across drift schedule kinds",
     build=_build_ext_drift_schedules,
     tables=_tables_ext_drift_schedules,
+    check=_check_ext_drift_schedules,
 ))
 
 
@@ -1525,12 +1941,37 @@ def _normalize_engine(text: str) -> str:
     return "\n".join(line.rstrip() for line in text.splitlines())
 
 
+def _check_ext_engine_throughput(records: list) -> dict[str, float]:
+    direct = _one(records, point__options={"cache": False})["result"]
+    engine = _one(records, point__options={})["result"]
+    # The paper's cost metric is untouched: identical ledgers...
+    assert engine["circuits"] == direct["circuits"]
+    assert engine["shots"] == direct["shots"]
+    # ...and identical energies (shared-RNG sampling order is preserved).
+    assert engine["energies"] == direct["energies"]
+    # The cache absorbs the revisits: fewer simulations than
+    # submissions and a positive hit rate.  The wall-clock win is the
+    # returned speedup, which the benchmark records and CI gates.
+    assert engine["hit_rate"] > 0.0
+    assert engine["simulations"] < engine["circuits"]
+    assert engine["simulations"] < direct["simulations"]
+    # workers=4 must reproduce workers=1 bit-for-bit on the same trace.
+    serial, pooled = (
+        _one(records, point__options__workers=workers)["result"]
+        for workers in (1, 4)
+    )
+    assert serial["energies"] == pooled["energies"]
+    assert serial["circuits"] == pooled["circuits"]
+    return {"speedup": direct["seconds"] / engine["seconds"]}
+
+
 _register(CatalogEntry(
     name="ext_engine_throughput",
     figure="Extension (engine)",
     title="Execution-engine throughput on a repeated-parameter trace",
     build=_build_ext_engine_throughput,
     tables=_tables_ext_engine_throughput,
+    check=_check_ext_engine_throughput,
     normalize=_normalize_engine,
 ))
 
@@ -1593,12 +2034,41 @@ def _tables_ext_gc_grouping(records: list) -> list[Table]:
     ]
 
 
+def _check_ext_gc_grouping(records: list) -> dict[str, float]:
+    for record in select(records, point__task="gc_grouping"):
+        r = record["result"]
+        # GC always merges at least as well as QWC...
+        assert r["gc_groups"] <= r["qwc_groups"]
+        # ...but pays with entangling gates QWC never needs (the paper's
+        # stated reason for scoping VarSaw to trivial commutation).
+        if r["gc_groups"] < r["qwc_groups"]:
+            assert r["gc_rotation_cx"] > 0
+    # Every GC group is internally commuting and diagonalizable.
+    validity = _one(records, point__task="gc_validity")["result"]
+    assert validity["groups"] >= 1
+    assert validity["pairs_checked"] > 0
+    # Full noisy energy evaluation at equal shots per circuit: the
+    # Section 3.1 trade-off, measured in the readout-dominated regime.
+    qwc, gc = (
+        _one(records, point__task="gc_end_to_end",
+             point__options__regime="standard",
+             point__options__estimator=scheme)["result"]
+        for scheme in GC_SCHEMES
+    )
+    # GC runs several-fold fewer circuits...
+    assert gc["circuits"] * 2 < qwc["circuits"]
+    # ...at comparable accuracy in the readout-dominated regime.
+    assert gc["error"] < 2.5 * qwc["error"]
+    return {}
+
+
 _register(CatalogEntry(
     name="ext_gc_grouping",
     figure="Extension (§3.1)",
     title="Qubit-wise vs general commutation grouping",
     build=_build_ext_gc_grouping,
     tables=_tables_ext_gc_grouping,
+    check=_check_ext_gc_grouping,
 ))
 
 
@@ -1654,12 +2124,41 @@ def _tables_ext_layout_routing(records: list) -> list[Table]:
     ]
 
 
+def _check_ext_layout_routing(records: list) -> dict[str, float]:
+    placement = [
+        record["result"]
+        for record in select(records, point__task="readout_placement")
+    ]
+    # Best-qubit measurement placement never loses to the default.
+    for r in placement:
+        assert r["best"] <= r["default"]
+    # best-k mean error is monotone nondecreasing in the window size:
+    # wider subsets are forced onto progressively worse readout lines.
+    best_means = [r["best"] for r in placement]
+    assert best_means == sorted(best_means)
+    # SWAP cost of Table 3's ansatz types on the heavy-hex topology.
+    by_type = {
+        record["result"]["entanglement"]: record["result"]
+        for record in select(records, point__task="routing")
+    }
+    # Linear entanglement routes SWAP-free on a line-containing
+    # topology; full entanglement cannot.
+    assert by_type["linear"]["swaps"] == 0
+    assert by_type["full"]["swaps"] > 0
+    # Full entanglement pays the largest native gate bill.
+    assert by_type["full"]["native_cx"] == max(
+        r["native_cx"] for r in by_type.values()
+    )
+    return {}
+
+
 _register(CatalogEntry(
     name="ext_layout_routing",
     figure="Extension (layout)",
     title="Layout & routing costs behind the paper's premises",
     build=_build_ext_layout_routing,
     tables=_tables_ext_layout_routing,
+    check=_check_ext_layout_routing,
 ))
 
 
@@ -1704,12 +2203,43 @@ def _tables_ext_mitigation_shootout(records: list) -> list[Table]:
     return tables
 
 
+def _check_ext_mitigation_shootout(records: list) -> dict[str, float]:
+    stats = {
+        n: _one(records, point__task="mitigation_shootout",
+                point__options__n_qubits=n)["result"]
+        for n in SHOOTOUT_WIDTHS
+    }
+    for results in stats.values():
+        raw_tvd = results["raw"][0]
+        # JigSaw beats raw at every width — subsetting degrades
+        # gracefully where matrix inversion cannot.
+        assert results["JigSaw"][0] < 0.6 * raw_tvd
+        # Bias-aware averaging never makes the distribution worse
+        # (it halves the worst-case asymmetric bias).
+        assert results["bias-aware"][0] < raw_tvd * 1.1
+    # Matrix methods dominate at small width...
+    for n in (4, 6):
+        assert stats[n]["M3"][0] < 0.4 * stats[n]["raw"][0]
+        assert stats[n]["MBM"][0] < 0.4 * stats[n]["raw"][0]
+    # ...but amplify sampling noise catastrophically at GHZ-8 under 2x
+    # noise, while JigSaw still recovers most of the infidelity — the
+    # MICRO'21 motivation for subsetting, reproduced end to end.
+    assert stats[8]["JigSaw"][0] < stats[8]["M3"][0]
+    assert stats[8]["JigSaw"][0] < 0.5 * stats[8]["raw"][0]
+    # M3-corrected Globals inside JigSaw (Fig. 18's stacking, per
+    # circuit): stacking helps or is negligible, never a blow-up.
+    stacking = _one(records, point__task="mitigation_stacking")["result"]
+    assert stacking["jigsaw+m3 global"] < stacking["jigsaw"] * 1.1
+    return {}
+
+
 _register(CatalogEntry(
     name="ext_mitigation_shootout",
     figure="Extension (mitigation)",
     title="Measurement-mitigation shootout on fixed circuits",
     build=_build_ext_mitigation_shootout,
     tables=_tables_ext_mitigation_shootout,
+    check=_check_ext_mitigation_shootout,
 ))
 
 
@@ -1781,12 +2311,36 @@ def _tables_ext_qaoa(records: list) -> list[Table]:
     ]
 
 
+def _check_ext_qaoa(records: list) -> dict[str, float]:
+    stats = _one(records, point__task="structure")["result"]
+    # Every ZZ term lives in the single all-Z commuting family: the
+    # spatial opportunity is structurally smaller than in VQE (§7.3).
+    assert stats["qwc_families"] == 1
+    # Spatial reduction still prunes the sliding-window subsets well
+    # below the term count (shared 2-qubit windows merge).
+    assert stats["varsaw"] < stats["jigsaw"]
+    runs = {
+        r["point"]["scheme"]: r["result"]
+        for r in select(records, point__task="tuning")
+    }
+    dense = runs["varsaw_no_sparsity"]
+    sparse = runs["varsaw_max_sparsity"]
+    # The temporal prediction: sparsity buys strictly more iterations...
+    assert (
+        sparse["iterations_completed"] > dense["iterations_completed"]
+    )
+    # ...and does not give up accuracy (small tolerance for tuner noise).
+    assert sparse["energy"] <= dense["energy"] + 0.35
+    return {}
+
+
 _register(CatalogEntry(
     name="ext_qaoa",
     figure="Extension (§7.3)",
     title="VarSaw on QAOA MaxCut",
     build=_build_ext_qaoa,
     tables=_tables_ext_qaoa,
+    check=_check_ext_qaoa,
 ))
 
 
@@ -1874,12 +2428,39 @@ def _tables_ext_selective_mitigation(records: list) -> list[Table]:
     ]
 
 
+def _check_ext_selective_mitigation(records: list) -> dict[str, float]:
+    ideal = _one(records, point__task="energy",
+                 point__scheme="ideal")["result"]["energy"]
+    baseline = _one(records, point__task="energy",
+                    point__scheme="baseline")["result"]["energy"]
+    rows = [
+        r["result"] for r in select(records, point__task="term_selective")
+    ]
+    # Subset cost grows with selected mass...
+    costs = [r["subsets"] for r in rows]
+    assert costs == sorted(costs)
+    # ...full selection does at least as well as the unmitigated
+    # baseline and partial selection lands in between.
+    assert rows[-1]["error"] < abs(baseline - ideal)
+    assert rows[0]["subsets"] < rows[-1]["subsets"]
+    # Mitigating only the tuning endgame is cheaper than always-on...
+    out = {
+        r["point"]["options"]["policy"]: r["result"]
+        for r in select(records, point__task="phase_selective")
+    }
+    assert out["endgame"]["circuits"] < out["always"]["circuits"]
+    # ...at comparable accuracy.
+    assert out["endgame"]["energy"] <= out["always"]["energy"] + 0.3
+    return {}
+
+
 _register(CatalogEntry(
     name="ext_selective_mitigation",
     figure="Extension (§7.3)",
     title="Selective mitigation: cost vs accuracy",
     build=_build_ext_selective_mitigation,
     tables=_tables_ext_selective_mitigation,
+    check=_check_ext_selective_mitigation,
 ))
 
 
@@ -1973,12 +2554,36 @@ def _tables_ext_spin_models(records: list) -> list[Table]:
     ]
 
 
+def _check_ext_spin_models(records: list) -> dict[str, float]:
+    structure = {
+        r["point"]["workload"]["model"]: r["result"]
+        for r in select(records, point__task="structure")
+    }
+    for model, r in structure.items():
+        assert r["varsaw"] < r["jigsaw"], model
+    # The multi-basis models (Heisenberg spans X/Y/Z) show the strongest
+    # redundancy, as Section 7.3 predicts.
+    heis = structure["heisenberg"]
+    assert heis["jigsaw"] / heis["varsaw"] > 2
+    for _, description in SPIN_MODELS_SPEC:
+        model = description["model"]
+        dense = _spin_record(records, "tuning", model,
+                             point__scheme="varsaw_no_sparsity")["result"]
+        sparse = _spin_record(records, "tuning", model,
+                              point__scheme="varsaw_max_sparsity")[
+                                  "result"]
+        assert sparse["iterations"] > 1.3 * dense["iterations"], model
+        assert sparse["energy"] <= dense["energy"] + 0.4, model
+    return {}
+
+
 _register(CatalogEntry(
     name="ext_spin_models",
     figure="Extension (§7.3)",
     title="VarSaw on spin-model Hamiltonians",
     build=_build_ext_spin_models,
     tables=_tables_ext_spin_models,
+    check=_check_ext_spin_models,
 ))
 
 
@@ -2058,12 +2663,47 @@ def _tables_ext_trotter_mitigation(records: list) -> list[Table]:
     ]
 
 
+def _check_ext_trotter_mitigation(records: list) -> dict[str, float]:
+    # Mitigation wins at every sampled time on this workload.
+    for record in select(records, point__task="quench"):
+        r = record["result"]
+        noisy_err = abs(r["noisy"] - r["exact"])
+        mit_err = abs(r["jigsaw"] - r["exact"])
+        assert mit_err < noisy_err, r["t"]
+    # Product-formula error orders, as the library's docs claim:
+    # monotone convergence, and order 2 dominates order 1 throughout.
+    rows = [
+        r["result"] for r in select(records, point__task="trotter_error")
+    ]
+    for a, b in zip(rows, rows[1:]):
+        assert b["order1"] < a["order1"]
+        assert b["order2"] < a["order2"]
+    for r in rows:
+        assert r["order2"] < r["order1"]
+    # Asymptotic rates: O(1/n) vs O(1/n^2) over the 8x step range.
+    assert rows[-1]["order1"] < rows[0]["order1"] / 4
+    assert rows[-1]["order2"] < rows[0]["order2"] / 30
+    # VarSaw's temporal bet transplanted to the quench sweep: adjacent
+    # time points share Globals, so a fresh Global every 4th point
+    # costs a fraction of dense JigSaw at comparable accuracy.
+    by_period = {
+        r["point"]["options"]["period"]: r["result"]
+        for r in select(records, point__task="quench_sweep")
+    }
+    dense, sparse = by_period[1], by_period[4]
+    assert sparse["circuits"] < dense["circuits"]
+    assert sparse["globals"] == 2
+    assert sparse["error"] < dense["error"] + 0.05
+    return {}
+
+
 _register(CatalogEntry(
     name="ext_trotter_mitigation",
     figure="Extension (§7.3)",
     title="Measurement mitigation for Trotterized time evolution",
     build=_build_ext_trotter_mitigation,
     tables=_tables_ext_trotter_mitigation,
+    check=_check_ext_trotter_mitigation,
 ))
 
 
@@ -2099,12 +2739,37 @@ def _tables_ext_tuner_comparison(records: list) -> list[Table]:
     )]
 
 
+def _check_ext_tuner_comparison(records: list) -> dict[str, float]:
+    ideal = records[0]["result"]["ideal_energy"]
+    stats = {
+        r["point"]["options"]["tuner"]: r["result"] for r in records
+    }
+    progress = {
+        tuner: (r["start"] - r["energy"]) / (r["start"] - ideal)
+        for tuner, r in stats.items()
+    }
+    # The paper's tuners (SPSA, ImFil) are noise-robust by design and
+    # dig most of the way toward the ideal.
+    assert progress["SPSA"] > 0.5
+    assert progress["ImFil"] > 0.5
+    # Nelder-Mead improves but lags on noisy objectives — the
+    # well-known simplex-collapse-under-shot-noise effect, and the
+    # reason Section 5.1 picks SPSA/ImFil.  We assert the direction,
+    # not parity.
+    assert progress["NelderMead"] > 0.0
+    assert stats["NelderMead"]["energy"] >= min(
+        stats["SPSA"]["energy"], stats["ImFil"]["energy"]
+    ) - 0.2
+    return {}
+
+
 _register(CatalogEntry(
     name="ext_tuner_comparison",
     figure="Extension (§5.1)",
     title="Classical tuner ablation under VarSaw",
     build=_build_ext_tuner_comparison,
     tables=_tables_ext_tuner_comparison,
+    check=_check_ext_tuner_comparison,
 ))
 
 
@@ -2141,7 +2806,7 @@ def _build_ext_zne_comparison() -> SweepSpec:
 
 
 def zne_energies(records: list) -> dict:
-    """Scheme-label -> energy, plus ``ideal`` (shared with the shim)."""
+    """Scheme-label -> energy, plus ``ideal`` (shared with the check)."""
     ideal = _one(records, point__task="energy",
                  point__scheme="ideal")["result"]["energy"]
     return {
@@ -2176,12 +2841,31 @@ def _tables_ext_zne_comparison(records: list) -> list[Table]:
     )]
 
 
+def _check_ext_zne_comparison(records: list) -> dict[str, float]:
+    energies = zne_energies(records)
+    ideal = energies.pop("ideal")
+    errors = {k: abs(v - ideal) for k, v in energies.items()}
+    # Both mitigations individually beat the raw baseline.
+    assert errors["baseline+ZNE"] < errors["baseline"]
+    assert errors["varsaw"] < errors["baseline"]
+    # The stack also beats the raw baseline.  (It is NOT always better
+    # than VarSaw alone: when VarSaw saturates the measurement error,
+    # ZNE's extrapolation only amplifies residual shot noise —
+    # mirroring Fig. 18's 'negligible for LiH' observation for the MBM
+    # stack.)
+    assert errors["varsaw+ZNE"] < errors["baseline"]
+    # Mitigation overall removes most of the noise-induced error here.
+    assert min(errors.values()) < 0.5 * errors["baseline"]
+    return {}
+
+
 _register(CatalogEntry(
     name="ext_zne_comparison",
     figure="Extension (§6.8)",
     title="VarSaw vs / with zero-noise extrapolation",
     build=_build_ext_zne_comparison,
     tables=_tables_ext_zne_comparison,
+    check=_check_ext_zne_comparison,
 ))
 
 
@@ -2215,7 +2899,7 @@ def _build_ext_api_session() -> SweepSpec:
 
 
 def api_session_rows(records: list) -> dict:
-    """Payload kind -> tuning result (shared with the bench shim)."""
+    """Payload kind -> tuning result (shared with the check)."""
     return {
         payload["kind"]: _one(records, point__estimator=payload)["result"]
         for payload in API_SESSION_SPECS
@@ -2237,12 +2921,35 @@ def _tables_ext_api_session(records: list) -> list[Table]:
     )]
 
 
+def _check_ext_api_session(records: list) -> dict[str, float]:
+    rows = api_session_rows(records)
+    assert set(rows) == {
+        "varsaw", "gc", "selective", "calibration_gated"
+    }
+    for kind, result in rows.items():
+        assert result["circuits"] > 0, kind
+        assert result["error"] < 10.0, kind
+    # GC groups whole commuting families: far fewer circuits than the
+    # subset-based schemes.
+    assert rows["gc"]["circuits"] < rows["varsaw"]["circuits"] / 2
+    # Selective mitigation only prunes work relative to full VarSaw.
+    assert rows["selective"]["circuits"] <= rows["varsaw"]["circuits"]
+    # Mumbai-like readout is uniformly bad enough that the calibration
+    # gate keeps every subset: bit-identical to plain VarSaw.
+    assert rows["calibration_gated"]["energy"] == rows["varsaw"]["energy"]
+    assert (
+        rows["calibration_gated"]["circuits"] == rows["varsaw"]["circuits"]
+    )
+    return {}
+
+
 _register(CatalogEntry(
     name="ext_api_session",
     figure="Extension (API)",
     title="Typed estimator specs driving the sweep pipeline",
     build=_build_ext_api_session,
     tables=_tables_ext_api_session,
+    check=_check_ext_api_session,
 ))
 
 
@@ -2274,7 +2981,7 @@ def _build_ext_backend_matrix() -> SweepSpec:
 
 
 def backend_matrix_rows(records: list) -> dict:
-    """Backend kind -> task result (shared with the bench shim)."""
+    """Backend kind -> task result (shared with the check)."""
     return {
         kind: _one(records, point__backend=kind)["result"]
         for kind in BACKEND_MATRIX_KINDS
@@ -2312,12 +3019,42 @@ def _normalize_backend_matrix(text: str) -> str:
     return "\n".join(line.rstrip() for line in text.splitlines())
 
 
+def _check_ext_backend_matrix(records: list) -> dict[str, float]:
+    rows = backend_matrix_rows(records)
+    assert set(rows) == {"dense", "clifford", "density"}
+    # Backend choice never changes the paper's cost metric: one charge
+    # per executed circuit, shots included, on every backend.
+    ledgers = {
+        (result["circuits"], result["shots"]) for result in rows.values()
+    }
+    assert len(ledgers) == 1, rows
+    # The clifford backend dispatched every circuit to the stabilizer
+    # path; nothing fell back to dense simulation.
+    assert rows["clifford"]["stabilizer_runs"] == rows["clifford"][
+        "circuits"
+    ]
+    assert rows["clifford"]["fallbacks"] == 0
+    assert rows["dense"]["stabilizer_runs"] == 0
+    # Analytic density counts carry no shot noise: the all-zeros weight
+    # is a plain probability in [0, 1], and the sampled backends agree
+    # with each other (same PMF up to float dust, same seeded RNG —
+    # tolerance of a couple of shots, not exact equality, so a numpy
+    # upgrade shifting the dust across one draw boundary cannot flake).
+    assert 0.0 <= rows["density"]["zero_weight"] <= 1.0
+    shots_per_run = rows["dense"]["shots"] / rows["dense"]["circuits"]
+    assert abs(
+        rows["dense"]["zero_weight"] - rows["clifford"]["zero_weight"]
+    ) <= 2.0 / shots_per_run
+    return {}
+
+
 _register(CatalogEntry(
     name="ext_backend_matrix",
     figure="Extension (backends)",
     title="Pluggable execution backends on one stabilizer workload",
     build=_build_ext_backend_matrix,
     tables=_tables_ext_backend_matrix,
+    check=_check_ext_backend_matrix,
     normalize=_normalize_backend_matrix,
 ))
 
@@ -2347,7 +3084,7 @@ def _build_ext_serve_throughput() -> SweepSpec:
 
 
 def serve_throughput_rows(records: list) -> dict:
-    """Tenant count -> task result (shared with the bench shim)."""
+    """Tenant count -> task result (shared with the check)."""
     return {
         t: _one(records, point__options__tenants=t)["result"]
         for t in SERVE_TENANT_COUNTS
@@ -2389,12 +3126,35 @@ def _normalize_serve(text: str) -> str:
     return "\n".join(line.rstrip() for line in text.splitlines())
 
 
+def _check_ext_serve_throughput(records: list) -> dict[str, float]:
+    rows = serve_throughput_rows(records)
+    solo, fleet = rows[1], rows[8]
+    # A lone tenant has nobody to share with; a fleet of 8 submitting
+    # the same jobs shares almost everything.
+    assert solo["cross_tenant_dedup"] == 0
+    assert fleet["cross_tenant_dedup"] > 0
+    # Job-level dedup: 8x the submissions, identical executions.
+    assert fleet["submitted"] == 8 * solo["submitted"]
+    assert fleet["executed"] == solo["executed"]
+    # Every distinct job ran exactly once in both cells, so the
+    # engines' ledgers agree — the fleet paid nothing extra.
+    assert fleet["circuits"] == solo["circuits"]
+    assert fleet["shots"] == solo["shots"]
+    # Cost attribution is exact: per-tenant charges sum to the
+    # engines' total ledger in both cells.
+    assert solo["ledger_match"] and fleet["ledger_match"]
+    assert fleet["tenant_circuits"] == fleet["circuits"]
+    assert fleet["tenant_shots"] == fleet["shots"]
+    return {}
+
+
 _register(CatalogEntry(
     name="ext_serve_throughput",
     figure="Extension (serve)",
     title="Multi-tenant estimation service with request coalescing",
     build=_build_ext_serve_throughput,
     tables=_tables_ext_serve_throughput,
+    check=_check_ext_serve_throughput,
     normalize=_normalize_serve,
 ))
 
@@ -2423,7 +3183,7 @@ def _build_ext_dist_scaling() -> SweepSpec:
 
 
 def dist_scaling_rows(records: list) -> dict:
-    """Shard count -> task result (shared with the bench shim)."""
+    """Shard count -> task result (shared with the check)."""
     return {
         s: _one(records, point__options__shards=s)["result"]
         for s in DIST_SHARD_COUNTS
@@ -2462,11 +3222,39 @@ def _normalize_dist(text: str) -> str:
     return _normalize_serve(text)
 
 
+def _check_ext_dist_scaling(records: list) -> dict[str, float]:
+    import os
+
+    rows = dist_scaling_rows(records)
+    serial, sharded = rows[1], rows[4]
+    # The hard invariant: sharded records are byte-identical to the
+    # serial run's (canonically, volatile wall-clock fields excluded).
+    assert sharded["digest"] == serial["digest"]
+    # Every point recorded exactly once, no lost or duplicated work.
+    assert serial["records"] == serial["points"]
+    assert sharded["records"] == sharded["points"]
+    assert serial["duplicates"] == 0
+    assert sharded["duplicates"] == 0
+    # Timing is machine-dependent: gate the scaling claim only where
+    # the hardware can express it and the cells are paper-sized.
+    cores = os.cpu_count() or 1
+    speedup = serial["seconds"] / sharded["seconds"]
+    if cores >= 4 and is_full_scale():
+        assert speedup >= 2.5
+    return {
+        "speedup": speedup,
+        "cores": cores,
+        "serial_s": serial["seconds"],
+        "sharded_s": sharded["seconds"],
+    }
+
+
 _register(CatalogEntry(
     name="ext_dist_scaling",
     figure="Extension (dist)",
     title="Sharded sweeps with work-stealing: records match serial",
     build=_build_ext_dist_scaling,
     tables=_tables_ext_dist_scaling,
+    check=_check_ext_dist_scaling,
     normalize=_normalize_dist,
 ))

@@ -2,7 +2,7 @@
 
 One :class:`Table` is one printed grid — title, headers, rows — the
 unit the golden-parity suite snapshots.  :func:`render_table` is the
-single formatting implementation shared by ``benchmarks/conftest.py``
+single formatting implementation shared by ``benchmarks/bench_catalog.py``
 (which prints and archives tables) and ``tests/sweeps`` (which compares
 rendered bytes against ``tests/golden/``), so a catalog-ported
 benchmark is byte-identical to its legacy output exactly when its

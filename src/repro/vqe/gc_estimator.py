@@ -10,8 +10,8 @@ The trade-off the paper cites for staying with QWC (Section 3.1) is now
 end-to-end measurable: GC needs several-fold fewer circuits per
 iteration, but each measurement suffix carries entangling gates whose
 noise the backend charges like any other gate — so under realistic gate
-error the accuracy can go either way.  ``bench_ext_gc_grouping`` and the
-unit tests pin down both sides.
+error the accuracy can go either way.  The ``ext_gc_grouping`` catalog
+entry and the unit tests pin down both sides.
 """
 
 from __future__ import annotations

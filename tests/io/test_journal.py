@@ -1,6 +1,9 @@
 """The shared JSONL journal core: append, load, tolerate, merge."""
 
+import errno
 import json
+import os
+import pathlib
 import threading
 
 import pytest
@@ -152,6 +155,66 @@ class TestConcurrency:
 
         reloaded = journal(tmp_path / "j.jsonl")
         assert len(reloaded) == 100
+        assert reloaded.load_report.corrupt_lines == 0
+
+
+class _TornHandle:
+    """A file handle whose writes land half their bytes, then fail."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._handle.__exit__(*exc)
+
+    def write(self, data):
+        self._handle.write(data[: len(data) // 2])
+        self._handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fail(*args, **kwargs):
+    raise OSError(errno.EIO, "Input/output error")
+
+
+class TestWriteFailures:
+    """A failed append leaves no trace, so later records survive."""
+
+    @pytest.mark.parametrize("fault", ["torn_write", "fsync"])
+    @pytest.mark.parametrize("method", ["append_record", "append_many"])
+    def test_failed_append_never_costs_a_later_record(
+        self, tmp_path, monkeypatch, fault, method
+    ):
+        path = tmp_path / "j.jsonl"
+        j = journal(path)
+        j.append_record("a", record("a"))
+        real_open = pathlib.Path.open
+        with monkeypatch.context() as patch:
+            if fault == "torn_write":
+                patch.setattr(
+                    pathlib.Path, "open",
+                    lambda self, *a, **k: _TornHandle(
+                        real_open(self, *a, **k)
+                    ),
+                )
+            else:
+                patch.setattr(os, "fsync", _fail)
+            with pytest.raises(OSError):
+                if method == "append_record":
+                    j.append_record("b", record("b"))
+                else:
+                    j.append_many([("b", record("b")), ("x", record("x"))])
+        assert "b" not in j
+        assert j.append_record("c", record("c")) is True
+
+        reloaded = journal(path)
+        assert reloaded.keys() == {"a", "c"}
         assert reloaded.load_report.corrupt_lines == 0
 
 
