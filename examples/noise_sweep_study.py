@@ -13,8 +13,8 @@ Usage::
 
 import sys
 
-from repro import make_estimator, make_workload, run_vqe
-from repro.noise import SimulatorBackend, ibmq_mumbai_like
+from repro import Session, make_workload, run_vqe
+from repro.noise import ibmq_mumbai_like
 from repro.optimizers import SPSA
 
 SCALES = (5.0, 3.0, 1.0, 0.5, 0.1)
@@ -41,8 +41,8 @@ def main() -> None:
         device = ibmq_mumbai_like(scale=scale)
         energies = []
         for kind, _ in KINDS:
-            backend = SimulatorBackend(device, seed=5)
-            estimator = make_estimator(kind, workload, backend, shots=256)
+            session = Session(device, seed=5)
+            estimator = session.estimator(kind, workload, shots=256)
             result = run_vqe(
                 estimator,
                 optimizer=SPSA(a=0.3, seed=5),

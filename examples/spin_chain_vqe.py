@@ -12,6 +12,7 @@ Usage::
 
 import sys
 
+from repro import Session
 from repro.ansatz import EfficientSU2
 from repro.core import count_jigsaw_subsets, count_varsaw_subsets
 from repro.hamiltonian import (
@@ -19,10 +20,10 @@ from repro.hamiltonian import (
     heisenberg_hamiltonian,
     xy_hamiltonian,
 )
-from repro.noise import SimulatorBackend, ibmq_mumbai_like
+from repro.noise import ibmq_mumbai_like
 from repro.optimizers import SPSA
 from repro.vqe import run_vqe
-from repro.workloads import Workload, make_estimator
+from repro.workloads import Workload
 
 
 def main() -> None:
@@ -63,8 +64,8 @@ def main() -> None:
         ).parameters
         budget = 10_000
         for kind in ("baseline", "varsaw"):
-            backend = SimulatorBackend(device, seed=11)
-            estimator = make_estimator(kind, workload, backend, shots=256)
+            session = Session(device, seed=11)
+            estimator = session.estimator(kind, workload, shots=256)
             result = run_vqe(
                 estimator,
                 optimizer=SPSA(a=0.3, seed=11),

@@ -10,12 +10,13 @@ Usage::
     python examples/tfim_device_study.py
 """
 
+from repro import Session
 from repro.ansatz import EfficientSU2
 from repro.hamiltonian import ground_state_energy, paper_tfim
-from repro.noise import SimulatorBackend, ibm_jakarta_like, ibm_lagos_like
+from repro.noise import ibm_jakarta_like, ibm_lagos_like
 from repro.optimizers import SPSA
 from repro.vqe import run_vqe
-from repro.workloads import Workload, make_estimator
+from repro.workloads import Workload
 
 
 def main() -> None:
@@ -39,8 +40,8 @@ def main() -> None:
             ("varsaw_no_sparsity", "VarSaw w/o global sparsity"),
             ("varsaw_max_sparsity", "VarSaw w/  global sparsity"),
         ):
-            backend = SimulatorBackend(device, seed=16)
-            estimator = make_estimator(kind, workload, backend, shots=512)
+            session = Session(device, seed=16)
+            estimator = session.estimator(kind, workload, shots=512)
             result = run_vqe(
                 estimator,
                 optimizer=SPSA(a=0.3, seed=16),

@@ -77,7 +77,7 @@ from .qaoa import QAOAAnsatz, make_qaoa_workload, maxcut_hamiltonian
 from .sweeps import Point, ResultStore, SweepSpec, run_sweep
 from .trotter import evolve_exact, trotter_circuit
 from .vqe import BaselineEstimator, IdealEstimator, VQEResult, run_vqe
-from .workloads import make_engine, make_estimator, make_workload
+from .workloads import make_workload
 
 __version__ = "1.0.0"
 
@@ -108,8 +108,6 @@ __all__ = [
     "run_vqe",
     "VQEResult",
     "make_workload",
-    "make_estimator",
-    "make_engine",
     "ExecutionEngine",
     "EngineConfig",
     "EngineStats",

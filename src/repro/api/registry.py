@@ -170,11 +170,11 @@ def resolve_spec(
     a kind name (``params`` become the spec's fields), or a plain-dict
     payload with a ``'kind'`` key (``params`` layered on top).
 
-    ``soft`` maps field names to *default* values, mirroring the
-    legacy factory's named arguments: each is applied only when the
-    kind accepts the field, the value is not ``None``, and neither the
-    payload nor ``params`` pin it.  A ready :class:`EstimatorSpec` is
-    a complete description — soft defaults never alter it.
+    ``soft`` maps field names to *default* values: each is applied
+    only when the kind accepts the field, the value is not ``None``,
+    and neither the payload nor ``params`` pin it.  A ready
+    :class:`EstimatorSpec` is a complete description — soft defaults
+    never alter it.
     """
     if isinstance(spec, EstimatorSpec):
         changes = spec.check_params(params)

@@ -180,11 +180,10 @@ class Session:
 
         ``spec`` may be a ready :class:`EstimatorSpec`, a registered
         kind name, or a payload dict with a ``'kind'`` key.  ``shots``
-        and ``window`` are *soft* defaults, mirroring the legacy
-        factory's named arguments: applied only when the kind accepts
-        the field and the spec does not already pin it (so passing
-        ``shots=...`` alongside kind ``"ideal"`` stays a no-op instead
-        of an error, and a payload's own ``shots`` wins).  A ready
+        and ``window`` are *soft* defaults: applied only when the kind
+        accepts the field and the spec does not already pin it (so
+        passing ``shots=...`` alongside kind ``"ideal"`` stays a no-op
+        instead of an error, and a payload's own ``shots`` wins).  A ready
         :class:`EstimatorSpec` is a complete description — soft
         defaults never alter it; use :meth:`EstimatorSpec.replace` to
         change its fields.  Everything in ``params`` is strict —

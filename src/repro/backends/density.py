@@ -8,15 +8,16 @@ quality rather than throughput:
   after every gate (plus optional amplitude damping) — the physical
   noise model :mod:`repro.sim.density` implements — instead of the
   dense backend's single global-depolarizing approximation.  The
-  prepared-state fast path (``run_from_state``) keeps the global
+  prepared-state fast path (``pmf_from_state``) keeps the global
   approximation: it starts from a cached pure statevector, where the
   per-gate channel history is no longer available.
-* **Analytic sampling.**  ``run``/``run_from_state`` return the
-  *expected* counts (``pmf * shots``, as floats) instead of drawing
-  multinomial samples, so an estimator whose statistic is linear in
-  the counts — every PMF-based expectation in the library — evaluates
-  to the exact noisy expectation with zero shot variance, and consumes
-  no RNG.  Set ``analytic=False`` to restore sampling.
+* **Analytic sampling.**  Every execution (``run`` or an engine
+  submission) returns the *expected* counts (``pmf * shots``, as
+  floats) instead of drawing multinomial samples, so an estimator
+  whose statistic is linear in the counts — every PMF-based
+  expectation in the library — evaluates to the exact noisy
+  expectation with zero shot variance, and consumes no RNG.  Set
+  ``analytic=False`` to restore sampling.
 
 Density-matrix evolution is O(4^n) per gate: this backend is for
 validation and small-system studies, not the VQA tuning loop.

@@ -38,6 +38,7 @@ from .analysis import sparkline
 from .api import Session, estimator_kinds, spec_class
 from .backends import backend_class, backend_kinds, make_backend
 from .core import count_jigsaw_subsets, count_varsaw_subsets
+from .engine import EngineConfig
 from .hamiltonian import MOLECULES, build_hamiltonian, molecule_keys
 from .noise import (
     DEVICE_PRESETS,
@@ -49,7 +50,7 @@ from .noise import (
 )
 from .optimizers import SPSA
 from .vqe import run_vqe
-from .workloads import ESTIMATOR_KINDS, make_engine, make_workload
+from .workloads import ESTIMATOR_KINDS, make_workload
 
 __all__ = ["main", "build_parser"]
 
@@ -384,8 +385,8 @@ def _int_at_least(minimum: int):
 def _add_engine_arguments(parser) -> None:
     """Execution-engine knobs shared by the VQE-running subcommands.
 
-    Defaults are ``None`` so :func:`repro.workloads.make_engine` falls
-    through to :class:`~repro.engine.EngineConfig`'s canonical values.
+    Defaults are ``None`` so unset flags fall through to
+    :class:`~repro.engine.EngineConfig`'s canonical values.
     """
     parser.add_argument(
         "--backend", default=None, metavar="KIND",
@@ -452,13 +453,18 @@ def _scheme_params(args) -> dict:
 
 def _make_cli_session(args, workload, backend):
     """Session + estimator for a run/qaoa invocation's arguments."""
-    engine = make_engine(
-        backend,
-        workers=args.workers,
-        cache_size=args.cache_size,
-        cache_bytes=args.cache_bytes,
-    )
-    session = Session(backend=backend, engine=engine)
+    flags = {
+        "workers": args.workers,
+        "cache_size": args.cache_size,
+        "cache_bytes": args.cache_bytes,
+    }
+    config = {
+        name: value for name, value in flags.items() if value is not None
+    }
+    # --cache-size 0 disables all memoization, the state cache included.
+    if args.cache_size == 0:
+        config["state_cache_size"] = 0
+    session = Session(backend=backend, engine=EngineConfig(**config))
     estimator = session.estimator(
         args.scheme, workload, shots=args.shots, **_scheme_params(args)
     )

@@ -14,8 +14,8 @@ evaluation as a spec, and receive :class:`JobHandle` futures; one
    caching nor scheduling can change any numeric result.
 3. **Sample & charge** — in *submission order*, every job samples its
    own shots from its PMF and charges the backend ledger exactly as a
-   direct ``run``/``run_from_state`` call would: one circuit plus
-   ``shots`` per submitted spec, duplicates included.  The paper's cost
+   direct ``backend.run`` call would: one circuit plus ``shots`` per
+   submitted spec, duplicates included.  The paper's cost
    metric is therefore bit-identical to the serial path.
 
 Under the default ``rng_mode="shared"`` the sampling pass consumes the
@@ -221,7 +221,7 @@ class Batch:
         map_to_best: bool = False,
         gate_load: tuple[int, int] = (0, 0),
     ) -> JobHandle:
-        """Queue a prepared state + basis suffix (``run_from_state``)."""
+        """Queue a prepared state + basis suffix (a :class:`StateSpec`)."""
         digest = self._state_digests.get(id(state))
         if digest is None:
             digest = state_digest(state)
@@ -469,7 +469,7 @@ class ExecutionEngine:
 
         Evolves the state through the cached suffix plan (when there is
         a suffix) and charges the *combined* original gate load, exactly
-        like the backend's ``_pmf_from_state``.
+        like the backend's ``pmf_from_state``.
         """
         state = spec.state
         g1, g2 = spec.gate_load

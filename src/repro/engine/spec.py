@@ -2,8 +2,9 @@
 
 A *spec* is everything needed to reproduce one device execution: either a
 full bound circuit (:class:`CircuitSpec`) or a prepared ansatz state plus
-a measurement-basis suffix (:class:`StateSpec` — the backend's
-``run_from_state`` fast path).  Specs are immutable once submitted.
+a measurement-basis suffix (:class:`StateSpec` — the prepared-state
+fast path, finished by the backend's ``pmf_from_state``).  Specs are
+immutable once submitted.
 
 Each spec exposes a :meth:`fingerprint`: a digest over the exact content
 that determines its noisy outcome distribution — circuit structure,
@@ -141,7 +142,7 @@ class CircuitSpec:
 
 @dataclass(frozen=True)
 class StateSpec:
-    """One prepared-state execution request (``backend.run_from_state``).
+    """One prepared-state execution request (``Batch.submit_state``).
 
     ``gate_load`` is the (one-qubit, two-qubit) gate count of the state
     preparation, charged to depolarizing noise on top of the suffix.

@@ -5,14 +5,15 @@ also keeps the *circuit/shot counters* that the paper's cost metric ("number
 of circuits executed on the quantum device") is measured from, so every
 experiment reads its cost from the same ledger.
 
-Two execution paths exist:
+Circuits reach it through :meth:`run` (simulate a full bound circuit) or
+through the execution engine, which also evaluates prepared ansatz
+states plus basis suffixes (:meth:`prepare_state` + :meth:`pmf_from_state`)
+and charges every such execution as one circuit on the ledger.
 
-* :meth:`run` — simulate a full bound circuit.
-* :meth:`prepare_state` + :meth:`run_from_state` — VQE executes many
-  measurement-basis variants of one ansatz per iteration; preparing the
-  ansatz state once and applying only the cheap basis suffix per group is
-  an exact optimization (the physics is identical), but each
-  ``run_from_state`` still counts as one executed circuit.
+Every exact distribution finishes through one noise pipeline, the
+batched finisher behind
+:meth:`SimulatorBackend.exact_pmfs_from_probs_batch`; a single ideal
+probability vector goes through it as a batch of one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from ..circuits import Circuit
 from ..sim import PMF, Counts, probabilities, run_statevector
 from ..sim.plan import CircuitPlan
 from .device import DeviceModel, ideal_device
-from .readout import ReadoutErrorModel
 
 __all__ = ["SimulatorBackend"]
 
@@ -129,27 +129,6 @@ class SimulatorBackend:
         self._charge(shots)
         return self.sample(pmf, shots, self.rng)
 
-    def run_from_state(
-        self,
-        state: np.ndarray,
-        suffix: Circuit | None,
-        measured_qubits,
-        shots: int,
-        map_to_best: bool = False,
-        gate_load: tuple[int, int] = (0, 0),
-    ) -> Counts:
-        """Execute a cached prepared state + basis-change suffix.
-
-        ``gate_load`` is the (one-qubit, two-qubit) gate count of the state
-        preparation, so the depolarizing weight reflects the *full* circuit,
-        not just the suffix.
-        """
-        pmf = self._pmf_from_state(
-            state, suffix, measured_qubits, map_to_best, gate_load
-        )
-        self._charge(shots)
-        return self.sample(pmf, shots, self.rng)
-
     def sample(
         self, pmf: PMF, shots: int, rng: np.random.Generator
     ) -> Counts:
@@ -221,7 +200,7 @@ class SimulatorBackend:
         the engine must call those hooks circuit-by-circuit instead.
         The noise pipeline must also be inherited, because the engine
         finishes plan batches through
-        :meth:`exact_pmfs_from_probs_batch` instead of
+        :meth:`exact_pmfs_from_probs_batch` without calling
         :meth:`_pmf_from_probs`.
         """
         cls = type(self)
@@ -243,7 +222,6 @@ class SimulatorBackend:
         cls = type(self)
         return (
             cls.pmf_from_state is SimulatorBackend.pmf_from_state
-            and cls._pmf_from_state is SimulatorBackend._pmf_from_state
             and cls._pmf_from_probs is SimulatorBackend._pmf_from_probs
         )
 
@@ -255,25 +233,17 @@ class SimulatorBackend:
         is one PMF per row, in order.  Rows sharing ``(n_qubits,
         measured, map_to_best)`` advance through each pipeline stage —
         normalize, depolarizing mix, marginal, readout — as single
-        whole-group NumPy calls whose per-row bits equal
-        :meth:`_pmf_from_probs` exactly (elementwise ops broadcast per
+        whole-group NumPy calls whose per-row bits equal the composition
+        of the public primitives ``PMF.mix`` -> ``PMF.marginal`` ->
+        ``ReadoutErrorModel.apply`` exactly (elementwise ops broadcast per
         row; axis reductions use the same pairwise order; the readout
         matrix product hits the same GEMM kernel, with the
         one-measured-qubit case looped because alone it would dispatch
         to GEMV and round differently).
 
-        Only the engine calls this, and only on backends whose
-        capability checks above confirm the dense pipeline is inherited.
-        A device carrying a *subclassed* readout model falls back to the
-        scalar pipeline row by row.
+        This is the only noise pipeline: :meth:`_pmf_from_probs` runs a
+        single row through it.
         """
-        if type(self.device.readout) is not ReadoutErrorModel:
-            return [
-                self._pmf_from_probs(
-                    probs, n, list(measured), map_to_best, gate_load
-                )
-                for probs, n, measured, map_to_best, gate_load in rows
-            ]
         out: list[PMF | None] = [None] * len(rows)
         groups: dict[tuple, list[int]] = {}
         for i, (_, n, measured, map_to_best, _) in enumerate(rows):
@@ -293,9 +263,17 @@ class SimulatorBackend:
         measured: tuple[int, ...],
         map_to_best: bool,
     ) -> list[PMF]:
-        """One same-shape group of :meth:`exact_pmfs_from_probs_batch`."""
+        """One same-shape group of :meth:`exact_pmfs_from_probs_batch`.
+
+        The marginal keeps the measured axes in ascending order, so
+        ``measured`` must be sorted and duplicate-free to label them.
+        """
         if not measured:
             raise ValueError("no measured qubits")
+        if any(a >= b for a, b in zip(measured, measured[1:])):
+            raise ValueError(
+                f"measured qubits must be sorted and distinct; got {measured}"
+            )
         batch = len(rows)
         probs = np.stack([np.asarray(row[0], dtype=float) for row in rows])
         if probs.min() < -1e-12:
@@ -316,7 +294,7 @@ class SimulatorBackend:
                 )
                 mixed = mixed / mixed.sum(axis=1)[:, None]
                 # Rows with zero depolarizing weight skip the mix (and
-                # its renormalization) entirely, like the scalar path.
+                # its renormalization) entirely.
                 probs = np.where((lams > 0)[:, None], mixed, probs)
         drop = tuple(ax for ax in range(n) if ax not in measured)
         if drop:
@@ -361,22 +339,12 @@ class SimulatorBackend:
         map_to_best: bool = False,
         gate_load: tuple[int, int] = (0, 0),
     ) -> PMF:
-        """Exact noisy PMF of a prepared state + basis suffix (uncharged)."""
-        return self._pmf_from_state(
-            state, suffix, measured_qubits, map_to_best, gate_load
-        )
+        """Exact noisy PMF of a prepared state + basis suffix (uncharged).
 
-    def _pmf_from_state(
-        self,
-        state: np.ndarray,
-        suffix: Circuit | None,
-        measured_qubits,
-        map_to_best: bool,
-        gate_load: tuple[int, int],
-    ) -> PMF:
-        measured = sorted(int(q) for q in measured_qubits)
-        if not measured:
-            raise ValueError("no measured qubits")
+        ``gate_load`` is the (one-qubit, two-qubit) gate count of the state
+        preparation, so the depolarizing weight reflects the *full* circuit,
+        not just the suffix.
+        """
         n = int(np.log2(state.shape[0]))
         g1, g2 = gate_load
         if suffix is not None:
@@ -385,7 +353,11 @@ class SimulatorBackend:
             g1 += suffix.num_gates - s2
             g2 += s2
         return self._pmf_from_probs(
-            probabilities(state), n, measured, map_to_best, (g1, g2)
+            probabilities(state),
+            n,
+            sorted(int(q) for q in measured_qubits),
+            map_to_best,
+            (g1, g2),
         )
 
     def _pmf_from_probs(
@@ -396,17 +368,14 @@ class SimulatorBackend:
         map_to_best: bool,
         gate_load: tuple[int, int],
     ) -> PMF:
-        pmf = PMF(probs, tuple(range(n_qubits)))
-        if self.gate_noise_enabled:
-            g1, g2 = gate_load
-            lam = self._depolarizing_weight(g1, g2)
-            if lam > 0:
-                pmf = pmf.mix(PMF.uniform(n_qubits, pmf.qubits), lam)
-        pmf = pmf.marginal(measured)
-        if self.readout_enabled:
-            mapping = self.physical_mapping(measured, map_to_best)
-            pmf = self.device.readout.apply(pmf, mapping)
-        return pmf
+        """The noise pipeline for one ideal probability vector.
+
+        A batch of one through :meth:`_finish_group`; ``measured`` must
+        be sorted.
+        """
+        measured = tuple(measured)
+        row = (probs, n_qubits, measured, map_to_best, gate_load)
+        return self._finish_group([row], n_qubits, measured, map_to_best)[0]
 
     def _depolarizing_weight(self, g1: int, g2: int) -> float:
         gn = self.device.gate_noise

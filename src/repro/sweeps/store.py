@@ -55,9 +55,6 @@ class ResultStore(Journal):
         """Every stored point fingerprint (alias of :meth:`keys`)."""
         return self.keys()
 
-    # Historical protocol name, still the one atomic-append primitive.
-    _append_line = Journal.append_record
-
     def append(
         self,
         point: Point,

@@ -5,8 +5,6 @@ from .registry import (
     ESTIMATOR_KINDS,
     SPIN_MODELS,
     Workload,
-    make_engine,
-    make_estimator,
     make_spin_workload,
     make_workload,
 )
@@ -15,8 +13,6 @@ __all__ = [
     "Workload",
     "make_workload",
     "make_spin_workload",
-    "make_estimator",
-    "make_engine",
     "ESTIMATOR_KINDS",
     "SPIN_MODELS",
     "MOLECULES",

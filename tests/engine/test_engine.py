@@ -265,10 +265,14 @@ class TestEnsureEngine:
     def test_estimators_on_one_backend_share_the_engine(
         self, h2_workload, backend
     ):
-        from repro import make_estimator
+        from repro import Session
 
-        baseline = make_estimator("baseline", h2_workload, backend, shots=32)
-        jigsaw = make_estimator("jigsaw", h2_workload, backend, shots=32)
+        baseline = Session(backend=backend).estimator(
+            "baseline", h2_workload, shots=32
+        )
+        jigsaw = Session(backend=backend).estimator(
+            "jigsaw", h2_workload, shots=32
+        )
         assert baseline.engine is jigsaw.engine
 
     def test_config_still_builds_private_engines(self, backend):

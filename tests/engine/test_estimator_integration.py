@@ -4,7 +4,7 @@ seed-exact cost accounting and worker-count-independent results."""
 import numpy as np
 import pytest
 
-from repro import make_estimator, run_vqe
+from repro import Session, run_vqe
 from repro.core import SelectiveVarSawEstimator, TermSelector
 from repro.engine import EngineConfig, ExecutionEngine
 from repro.noise import SimulatorBackend
@@ -22,7 +22,9 @@ class TestEstimatorsUseEngine:
     @pytest.mark.parametrize("kind", FAMILIES)
     def test_jobs_flow_through_engine(self, kind, h2_workload, noisy_device):
         backend = SimulatorBackend(noisy_device, seed=7)
-        estimator = make_estimator(kind, h2_workload, backend, shots=64)
+        estimator = Session(backend=backend).estimator(
+            kind, h2_workload, shots=64
+        )
         estimator.evaluate(fixed_params(estimator))
         stats = estimator.engine.stats
         assert stats.jobs_submitted > 0
@@ -61,7 +63,9 @@ class TestCostLedgerParity:
     ):
         """Ledger equals the analytic per-evaluation circuit count."""
         backend = SimulatorBackend(noisy_device, seed=7)
-        estimator = make_estimator(kind, h2_workload, backend, shots=64)
+        estimator = Session(backend=backend).estimator(
+            kind, h2_workload, shots=64
+        )
         estimator.evaluate(fixed_params(estimator))
         if kind in ("baseline", "jigsaw"):
             expected = estimator.circuits_per_evaluation
@@ -81,9 +85,10 @@ class TestWorkerCountInvariance:
     ):
         def run(workers):
             backend = SimulatorBackend(noisy_device, seed=7)
-            estimator = make_estimator(
-                kind, h2_workload, backend, shots=32, workers=workers
+            session = Session(
+                backend=backend, engine=EngineConfig(workers=workers)
             )
+            estimator = session.estimator(kind, h2_workload, shots=32)
             result = run_vqe(estimator, max_iterations=6, seed=7)
             estimator.engine.close()
             return result
@@ -100,13 +105,11 @@ class TestWorkerCountInvariance:
     ):
         def run(workers):
             backend = SimulatorBackend(noisy_device, seed=7)
-            estimator = make_estimator(
-                "baseline",
-                h2_workload,
-                backend,
-                shots=32,
+            session = Session(
+                backend=backend,
                 engine=EngineConfig(workers=workers, rng_mode="per_job"),
             )
+            estimator = session.estimator("baseline", h2_workload, shots=32)
             result = run_vqe(estimator, max_iterations=4, seed=7)
             estimator.engine.close()
             return result
@@ -119,7 +122,9 @@ class TestCacheAcrossEvaluations:
         self, h2_workload, noisy_device
     ):
         backend = SimulatorBackend(noisy_device, seed=7)
-        estimator = make_estimator("baseline", h2_workload, backend, shots=64)
+        estimator = Session(backend=backend).estimator(
+            "baseline", h2_workload, shots=64
+        )
         theta = fixed_params(estimator)
         e1 = estimator.evaluate(theta)
         sims_after_first = estimator.engine.stats.simulations
@@ -137,12 +142,9 @@ class TestCacheAcrossEvaluations:
     def test_shared_engine_across_estimators(self, h2_workload, noisy_device):
         backend = SimulatorBackend(noisy_device, seed=7)
         engine = ExecutionEngine(backend)
-        baseline = make_estimator(
-            "baseline", h2_workload, backend, shots=64, engine=engine
-        )
-        jigsaw = make_estimator(
-            "jigsaw", h2_workload, backend, shots=64, engine=engine
-        )
+        session = Session(backend=backend, engine=engine)
+        baseline = session.estimator("baseline", h2_workload, shots=64)
+        jigsaw = session.estimator("jigsaw", h2_workload, shots=64)
         theta = fixed_params(baseline)
         baseline.evaluate(theta)
         hits_before = engine.stats.pmf_cache.hits

@@ -9,7 +9,8 @@ from repro.engine import EngineConfig
 from repro.engine.engine import ExecutionEngine
 from repro.engine.spec import CircuitSpec
 from repro.circuits import Circuit
-from repro.noise import DeviceModel, ReadoutErrorModel, SimulatorBackend
+from repro.noise import SimulatorBackend
+from repro.sim import PMF
 
 
 def ansatz(theta, phi=0.25):
@@ -142,40 +143,59 @@ class TestCapabilityGating:
         assert not backend.supports_suffix_plans()
 
 
+def reference_pmf(backend, probs, n, measured, map_to_best, gate_load):
+    """The scalar noise pipeline, built from public PMF/readout primitives."""
+    pmf = PMF(probs, tuple(range(n)))
+    gn = backend.device.gate_noise
+    e1 = min(1.0, gn.error_1q * gn.scale)
+    e2 = min(1.0, gn.error_2q * gn.scale)
+    lam = 1.0 - (1.0 - e1) ** gate_load[0] * (1.0 - e2) ** gate_load[1]
+    if lam > 0:
+        pmf = pmf.mix(PMF.uniform(n, pmf.qubits), lam)
+    pmf = pmf.marginal(measured)
+    mapping = backend.physical_mapping(list(measured), map_to_best)
+    return backend.device.readout.apply(pmf, mapping)
+
+
 class TestVectorizedFinisher:
-    def test_batch_rows_match_scalar_pipeline_bitwise(self, backend):
+    def rows(self):
         rng = np.random.default_rng(11)
         rows = []
         for _ in range(6):
             probs = rng.random(8)
             rows.append((probs, 3, (0, 2), False, (4, 2)))
         rows.append((rng.random(8), 3, (0, 1, 2), True, (0, 0)))
+        rows.append((rng.random(8), 3, (1,), False, (3, 1)))
+        rows.append((rng.random(8), 3, (1,), False, (5, 0)))
+        return rows
+
+    def test_batch_rows_match_scalar_pipeline_bitwise(self, backend):
+        rows = self.rows()
         batch = backend.exact_pmfs_from_probs_batch(rows)
         for row, pmf in zip(rows, batch):
-            expected = backend._pmf_from_probs(
-                row[0], row[1], list(row[2]), row[3], row[4]
-            )
+            expected = reference_pmf(backend, *row)
             assert pmf.qubits == expected.qubits
             assert np.array_equal(pmf.probs, expected.probs)
 
-    def test_custom_readout_falls_back_to_scalar_rows(self, noisy_device):
-        class TracingReadout(ReadoutErrorModel):
-            pass
+    def test_batch_of_one_matches_public_primitives_bitwise(self, backend):
+        for row in self.rows():
+            pmf = backend._pmf_from_probs(
+                row[0], row[1], list(row[2]), row[3], row[4]
+            )
+            expected = reference_pmf(backend, *row)
+            assert pmf.qubits == expected.qubits
+            assert np.array_equal(pmf.probs, expected.probs)
 
-        readout = noisy_device.readout
-        device = DeviceModel(
-            noisy_device.name,
-            TracingReadout(
-                readout.qubit_errors,
-                readout.crosstalk_strength,
-                readout.scale,
-            ),
-            noisy_device.gate_noise,
-            noisy_device.topology,
+    @pytest.mark.parametrize("measured", [(2, 0), (0, 0)])
+    def test_bad_measured_labels_rejected(self, measured):
+        backend = SimulatorBackend(
+            seed=7, readout_enabled=False, gate_noise_enabled=False
         )
-        backend = SimulatorBackend(device, seed=7)
-        probs = np.full(8, 1 / 8)
-        rows = [(probs, 3, (0, 1, 2), False, (2, 1))]
-        batch = backend.exact_pmfs_from_probs_batch(rows)
-        expected = backend._pmf_from_probs(probs, 3, [0, 1, 2], False, (2, 1))
-        assert np.array_equal(batch[0].probs, expected.probs)
+        probs = np.zeros(8)
+        probs[0b100] = 1.0  # |q0 q1 q2> = |100>
+        with pytest.raises(ValueError, match="sorted and distinct"):
+            backend.exact_pmfs_from_probs_batch(
+                [(probs, 3, measured, False, (0, 0))]
+            )
+        with pytest.raises(ValueError, match="sorted and distinct"):
+            backend._pmf_from_probs(probs, 3, list(measured), False, (0, 0))

@@ -8,10 +8,11 @@ cheaper than JigSaw, sparsity buys iterations under a fixed budget.
 import numpy as np
 import pytest
 
+from repro import Session
 from repro.noise import SimulatorBackend, ibmq_mumbai_like
 from repro.optimizers import SPSA
 from repro.vqe import run_vqe
-from repro.workloads import make_estimator, make_workload
+from repro.workloads import make_workload
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +21,7 @@ def workload():
 
 
 def tuned_params(workload, iterations=250, seed=3):
-    ideal = make_estimator("ideal", workload, SimulatorBackend(seed=0))
+    ideal = Session(seed=0).estimator("ideal", workload)
     return run_vqe(ideal, max_iterations=iterations, seed=seed).parameters
 
 
@@ -31,7 +32,7 @@ class TestFixedBudgetEconomics:
         results = {}
         for kind in ("jigsaw", "varsaw"):
             backend = SimulatorBackend(workload.device, seed=5)
-            est = make_estimator(kind, workload, backend, shots=32)
+            est = Session(backend=backend).estimator(kind, workload, shots=32)
             results[kind] = run_vqe(
                 est,
                 optimizer=SPSA(a=0.3, seed=5),
@@ -47,7 +48,7 @@ class TestFixedBudgetEconomics:
     def test_budget_respected(self, workload):
         budget = 1500
         backend = SimulatorBackend(workload.device, seed=6)
-        est = make_estimator("varsaw", workload, backend, shots=32)
+        est = Session(backend=backend).estimator("varsaw", workload, shots=32)
         result = run_vqe(
             est,
             optimizer=SPSA(a=0.3, seed=6),
@@ -65,16 +66,16 @@ class TestMitigationAtOptimum:
         mitigation should land closer to ideal than the noisy baseline."""
         params = tuned_params(workload)
         device = ibmq_mumbai_like(scale=2.0)
-        ideal_est = make_estimator(
-            "ideal", workload, SimulatorBackend(seed=0)
-        )
+        ideal_est = Session(seed=0).estimator("ideal", workload)
         e_ideal = ideal_est.evaluate(params)
         base_err, var_err = [], []
         for seed in range(3):
             backend = SimulatorBackend(device, seed=seed)
-            base = make_estimator("baseline", workload, backend, shots=4096)
-            var = make_estimator(
-                "varsaw_no_sparsity", workload, backend, shots=4096
+            base = Session(backend=backend).estimator(
+                "baseline", workload, shots=4096
+            )
+            var = Session(backend=backend).estimator(
+                "varsaw_no_sparsity", workload, shots=4096
             )
             base_err.append(abs(base.evaluate(params) - e_ideal))
             var_err.append(abs(var.evaluate(params) - e_ideal))
@@ -88,7 +89,7 @@ class TestTemporalSparsityDynamics:
         costs = {}
         for kind in ("varsaw_no_sparsity", "varsaw_max_sparsity"):
             backend = SimulatorBackend(workload.device, seed=7)
-            est = make_estimator(kind, workload, backend, shots=32)
+            est = Session(backend=backend).estimator(kind, workload, shots=32)
             params = np.zeros(workload.ansatz.num_parameters)
             for _ in range(6):
                 est.evaluate(params)
@@ -105,8 +106,8 @@ class TestTemporalSparsityDynamics:
         up (the optimum the paper reports is ~1 Global per 100 iters).
         """
         backend = SimulatorBackend(ibmq_mumbai_like(scale=2.0), seed=8)
-        est = make_estimator(
-            "varsaw", workload, backend, shots=512, initial_period=2
+        est = Session(backend=backend).estimator(
+            "varsaw", workload, shots=512, initial_period=2
         )
         result = run_vqe(
             est,
@@ -121,7 +122,7 @@ class TestTemporalSparsityDynamics:
 
 class TestNoiseFreeSanity:
     def test_ideal_vqe_reaches_reference_region(self, workload):
-        ideal = make_estimator("ideal", workload, SimulatorBackend(seed=0))
+        ideal = Session(seed=0).estimator("ideal", workload)
         result = run_vqe(ideal, max_iterations=400, seed=1)
         gap = result.energy - workload.ideal_energy
         assert gap >= -1e-9

@@ -9,9 +9,9 @@ execution on a real device topology.
 import numpy as np
 import pytest
 
+from repro import Session
 from repro.noise import SimulatorBackend, ibm_lagos_like, ibmq_mumbai_like
 from repro.vqe import GeneralCommutationEstimator, run_vqe
-from repro.workloads import make_estimator
 
 
 class TestQAOAThroughTheFullStack:
@@ -20,7 +20,9 @@ class TestQAOAThroughTheFullStack:
 
         workload = make_qaoa_workload("ring", 4, reps=1)
         backend = SimulatorBackend(ibmq_mumbai_like(scale=2.0), seed=31)
-        estimator = make_estimator("varsaw", workload, backend, shots=256)
+        estimator = Session(backend=backend).estimator(
+            "varsaw", workload, shots=256
+        )
         result = run_vqe(estimator, max_iterations=60, seed=31)
         # The tuner must make real progress toward the max cut.
         assert result.energy < -1.5
@@ -32,7 +34,9 @@ class TestQAOAThroughTheFullStack:
 
         workload = make_qaoa_workload("ring", 4, reps=1)
         backend = SimulatorBackend(ibmq_mumbai_like(scale=2.0), seed=33)
-        estimator = make_estimator("varsaw", workload, backend, shots=128)
+        estimator = Session(backend=backend).estimator(
+            "varsaw", workload, shots=128
+        )
         run_vqe(estimator, max_iterations=50, seed=33)
         # Under noise the adaptive scheduler should skip most Globals.
         assert estimator.global_fraction < 0.9

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit
+from repro.engine import ExecutionEngine
 from repro.noise import SimulatorBackend, ideal_device
 from repro.sim import run_statevector
 
@@ -60,13 +61,22 @@ class TestAccounting:
         ideal_backend.prepare_state(qc)
         assert ideal_backend.circuits_run == 0
 
-    def test_run_from_state_charged(self, ideal_backend):
+    def test_submit_state_charged(self, ideal_backend):
         qc = Circuit(2)
         qc.h(0)
         state = ideal_backend.prepare_state(qc)
-        ideal_backend.run_from_state(state, None, [0], shots=5)
+        batch = ExecutionEngine(ideal_backend).new_batch()
+        batch.submit_state(state, None, [0], shots=5)
+        batch.run()
         assert ideal_backend.circuits_run == 1
         assert ideal_backend.shots_run == 5
+
+    def test_state_pmf_not_charged(self, ideal_backend):
+        qc = Circuit(2)
+        qc.h(0)
+        state = ideal_backend.prepare_state(qc)
+        ideal_backend.pmf_from_state(state, None, [0])
+        assert ideal_backend.circuits_run == 0
 
 
 class TestNoiseApplication:
@@ -106,7 +116,7 @@ class TestNoiseApplication:
         with pytest.raises(ValueError):
             backend.physical_mapping([7], map_to_best=False)
 
-    def test_run_from_state_matches_run(self, tiny_device):
+    def test_state_fast_path_matches_exact_pmf(self, tiny_device):
         """The cached-state fast path is physically identical to run()."""
         backend = SimulatorBackend(tiny_device, seed=3)
         prep = Circuit(4)
@@ -118,9 +128,11 @@ class TestNoiseApplication:
         full.measure([0, 1])
         pmf_full = backend.exact_pmf(full)
         state = backend.prepare_state(prep)
-        pmf_cached = backend._pmf_from_state(
-            state, suffix, [0, 1], False, (3, 1)
+        # The preparation's own load is (1, 1); the suffix adds (1, 0).
+        pmf_cached = backend.pmf_from_state(
+            state, suffix, [1, 0], gate_load=(1, 1)
         )
+        assert pmf_cached.qubits == pmf_full.qubits
         assert np.allclose(pmf_full.probs, pmf_cached.probs)
 
     def test_gate_noise_contracts_distribution(self):

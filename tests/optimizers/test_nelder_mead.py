@@ -126,13 +126,16 @@ class TestProtocolBehavior:
 
 class TestVQEIntegration:
     def test_tunes_a_small_vqe(self):
+        from repro import Session
         from repro.noise import SimulatorBackend, ideal_device
         from repro.vqe import run_vqe
-        from repro.workloads import make_estimator, make_workload
+        from repro.workloads import make_workload
 
         workload = make_workload("H2-4")
         backend = SimulatorBackend(ideal_device(4), seed=3)
-        estimator = make_estimator("baseline", workload, backend, shots=512)
+        estimator = Session(backend=backend).estimator(
+            "baseline", workload, shots=512
+        )
         start = np.full(workload.ansatz.num_parameters, 0.1)
         start_energy = estimator.evaluate(start)
         result = run_vqe(

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import Session
 from repro.noise import SimulatorBackend, ibmq_mumbai_like, ideal_device
 from repro.qaoa import make_qaoa_workload
 from repro.vqe import run_vqe
-from repro.workloads import make_estimator
 
 
 class TestWorkloadFactory:
@@ -39,7 +39,7 @@ class TestEstimatorIntegration:
     def test_every_scheme_evaluates(self, kind):
         wl = make_qaoa_workload("ring", 4, reps=1)
         backend = SimulatorBackend(ibmq_mumbai_like(), seed=5)
-        estimator = make_estimator(kind, wl, backend, shots=256)
+        estimator = Session(backend=backend).estimator(kind, wl, shots=256)
         value = estimator.evaluate(np.array([0.5, 0.3]))
         # Energies live between the ground state and the trivial offset.
         assert wl.ideal_energy - 1.0 < value < 1.0
@@ -50,7 +50,7 @@ class TestEstimatorIntegration:
         from repro.hamiltonian import Hamiltonian
         from repro.sim.statevector import run_statevector
 
-        estimator = make_estimator("ideal", wl, backend)
+        estimator = Session(backend=backend).estimator("ideal", wl)
         params = np.array([0.7, 0.4])
         state = run_statevector(wl.ansatz.bind(params))
         exact = wl.hamiltonian.expectation_exact(state)
@@ -62,7 +62,7 @@ class TestEstimatorIntegration:
         costs = {}
         for kind in ("jigsaw", "varsaw"):
             backend = SimulatorBackend(ibmq_mumbai_like(), seed=5)
-            estimator = make_estimator(kind, wl, backend, shots=128)
+            estimator = Session(backend=backend).estimator(kind, wl, shots=128)
             estimator.evaluate(params)
             costs[kind] = backend.circuits_run
         assert costs["varsaw"] < costs["jigsaw"]
@@ -72,7 +72,9 @@ class TestShortTuningRun:
     def test_qaoa_vqe_loop_improves_energy(self):
         wl = make_qaoa_workload("ring", 4, reps=1)
         backend = SimulatorBackend(ideal_device(4), seed=9)
-        estimator = make_estimator("baseline", wl, backend, shots=512)
+        estimator = Session(backend=backend).estimator(
+            "baseline", wl, shots=512
+        )
         start = estimator.evaluate(np.array([0.05, 0.05]))
         result = run_vqe(
             estimator,

@@ -155,6 +155,52 @@ class TestCommands:
         assert code == 2
 
 
+class TestEngineFlags:
+    def cli_session(self, *flags):
+        from repro.cli import _make_cli_session
+        from repro.noise import SimulatorBackend
+        from repro.workloads import make_workload
+
+        args = build_parser().parse_args(
+            ["run", "H2-4", "--scheme", "baseline", "--shots", "16", *flags]
+        )
+        workload = make_workload("H2-4")
+        backend = SimulatorBackend(workload.device, seed=1)
+        return _make_cli_session(args, workload, backend)
+
+    def stats_after_two_evaluations(self, *flags):
+        import numpy as np
+
+        estimator, session = self.cli_session(*flags)
+        params = np.full(estimator.ansatz.num_parameters, 0.1)
+        estimator.evaluate(params)
+        estimator.evaluate(params)
+        return session.stats()
+
+    def test_cache_size_zero_disables_pmf_and_state_caches(self):
+        stats = self.stats_after_two_evaluations("--cache-size", "0")
+        assert stats.pmf_cache.size == 0
+        assert stats.state_cache.size == 0
+        assert stats.pmf_cache.hits == stats.state_cache.hits == 0
+
+    def test_default_flags_cache_both(self):
+        stats = self.stats_after_two_evaluations()
+        assert stats.pmf_cache.size > 0
+        assert stats.state_cache.size > 0
+
+    def test_flags_reach_engine_config(self):
+        from repro.engine import EngineConfig
+
+        _, session = self.cli_session(
+            "--workers", "2", "--cache-size", "5", "--cache-bytes", "0"
+        )
+        config = session.engine.config
+        session.close()
+        assert (config.workers, config.cache_size) == (2, 5)
+        assert config.cache_bytes == 0
+        assert config.state_cache_size == EngineConfig().state_cache_size
+
+
 class TestSweepCommand:
     SPEC = """{
         "name": "cli-grid",

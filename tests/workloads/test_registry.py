@@ -1,7 +1,8 @@
-"""Unit tests for the workload/estimator factory."""
+"""Unit tests for the workload factory and estimator construction."""
 
 import pytest
 
+from repro import Session
 from repro.core import (
     CalibrationGatedVarSawEstimator,
     DriftAwareVarSawEstimator,
@@ -15,7 +16,7 @@ from repro.vqe import (
     GeneralCommutationEstimator,
     IdealEstimator,
 )
-from repro.workloads import ESTIMATOR_KINDS, make_estimator, make_workload
+from repro.workloads import ESTIMATOR_KINDS, make_workload
 
 
 class TestMakeWorkload:
@@ -45,13 +46,15 @@ class TestMakeWorkload:
 
 
 class TestMakeEstimator:
+    """Every kind builds through ``Session.estimator``."""
+
     @pytest.fixture
     def setup(self):
         w = make_workload("H2-4", reps=1, entanglement="linear")
-        return w, SimulatorBackend(w.device, seed=0)
+        return w, Session(backend=SimulatorBackend(w.device, seed=0))
 
     def test_all_kinds_construct(self, setup):
-        w, backend = setup
+        w, session = setup
         expected_types = {
             "ideal": IdealEstimator,
             "baseline": BaselineEstimator,
@@ -67,7 +70,7 @@ class TestMakeEstimator:
         assert set(ESTIMATOR_KINDS) == set(expected_types)
         assert len(ESTIMATOR_KINDS) >= 9
         for kind, cls in expected_types.items():
-            est = make_estimator(kind, w, backend, shots=16)
+            est = session.estimator(kind, w, shots=16)
             assert isinstance(est, cls)
 
     def test_legacy_kinds_listed_first(self):
@@ -77,53 +80,52 @@ class TestMakeEstimator:
         )
 
     def test_sparsity_modes_wired(self, setup):
-        w, backend = setup
-        no_sparsity = make_estimator("varsaw_no_sparsity", w, backend)
-        max_sparsity = make_estimator("varsaw_max_sparsity", w, backend)
+        w, session = setup
+        no_sparsity = session.estimator("varsaw_no_sparsity", w)
+        max_sparsity = session.estimator("varsaw_max_sparsity", w)
         assert no_sparsity.scheduler.mode == "always"
         assert max_sparsity.scheduler.mode == "never"
 
     def test_unknown_kind(self, setup):
-        w, backend = setup
+        w, session = setup
         with pytest.raises(ValueError, match="unknown estimator kind"):
-            make_estimator("magic", w, backend)
+            session.estimator("magic", w)
 
     def test_kwargs_passthrough(self, setup):
-        w, backend = setup
-        est = make_estimator("varsaw", w, backend, initial_period=8)
+        w, session = setup
+        est = session.estimator("varsaw", w, initial_period=8)
         assert est.scheduler.period == 8
 
     def test_misspelled_kwarg_names_key_and_fields(self, setup):
         # The silent-forwarding fix: a typo'd knob fails loudly, by
         # name, with the kind's accepted fields — at build time.
-        w, backend = setup
+        w, session = setup
         with pytest.raises(ValueError, match=r"'windw'") as excinfo:
-            make_estimator("varsaw", w, backend, windw=3)
+            session.estimator("varsaw", w, windw=3)
         assert "window" in str(excinfo.value)
         assert "'varsaw'" in str(excinfo.value)
 
     def test_kwarg_for_wrong_kind_rejected(self, setup):
-        w, backend = setup
+        w, session = setup
         with pytest.raises(ValueError, match="mass_fraction"):
-            make_estimator("baseline", w, backend, mass_fraction=0.5)
+            session.estimator("baseline", w, mass_fraction=0.5)
 
     def test_new_kind_knobs_wired(self, setup):
-        w, backend = setup
-        selective = make_estimator(
-            "selective", w, backend, mass_fraction=0.8,
-            global_mode="always",
+        w, session = setup
+        selective = session.estimator(
+            "selective", w, mass_fraction=0.8, global_mode="always"
         )
         assert selective.term_selector.mass_fraction == 0.8
-        gated = make_estimator(
-            "calibration_gated", w, backend, error_threshold=0.5
+        gated = session.estimator(
+            "calibration_gated", w, error_threshold=0.5
         )
         assert gated.gate.error_threshold == 0.5
-        gc = make_estimator("gc", w, backend, method="greedy")
+        gc = session.estimator("gc", w, method="greedy")
         assert gc.num_groups >= 1
 
     def test_pinned_sparsity_mode_conflict_rejected(self, setup):
-        w, backend = setup
+        w, session = setup
         with pytest.raises(ValueError, match="pins global_mode"):
-            make_estimator(
-                "varsaw_no_sparsity", w, backend, global_mode="never"
+            session.estimator(
+                "varsaw_no_sparsity", w, global_mode="never"
             )

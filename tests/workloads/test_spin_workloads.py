@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro import Session
 from repro.noise import SimulatorBackend, ibm_lagos_like
-from repro.workloads import SPIN_MODELS, make_estimator, make_spin_workload
+from repro.workloads import SPIN_MODELS, make_spin_workload
 
 
 class TestMakeSpinWorkload:
@@ -38,7 +39,7 @@ class TestMakeSpinWorkload:
     def test_estimators_build_on_spin_workloads(self):
         w = make_spin_workload("xy", 4, anisotropy=0.3)
         backend = SimulatorBackend(w.device, seed=0)
-        est = make_estimator("varsaw", w, backend, shots=32)
+        est = Session(backend=backend).estimator("varsaw", w, shots=32)
         import numpy as np
 
         energy = est.evaluate(np.zeros(w.ansatz.num_parameters))
