@@ -94,6 +94,10 @@ class EfficientSU2:
         self.entanglement = entanglement
         self.params = ParameterVector("theta", 2 * n_qubits * (reps + 1))
         self.circuit = self._build()
+        g2 = self.circuit.num_two_qubit_gates
+        #: (one-qubit, two-qubit) gate counts — feeds the gate-noise
+        #: model.  Counted once here: every submission charges it.
+        self.gate_load: tuple[int, int] = (self.circuit.num_gates - g2, g2)
 
     def _build(self) -> Circuit:
         qc = Circuit(
@@ -123,12 +127,6 @@ class EfficientSU2:
     @property
     def num_parameters(self) -> int:
         return len(self.params)
-
-    @property
-    def gate_load(self) -> tuple[int, int]:
-        """(one-qubit, two-qubit) gate counts — feeds the gate-noise model."""
-        g2 = self.circuit.num_two_qubit_gates
-        return (self.circuit.num_gates - g2, g2)
 
     def bind(self, values) -> Circuit:
         """Bind a flat parameter array to a concrete circuit."""

@@ -165,7 +165,7 @@ class SelectiveVarSawEstimator(VarSawEstimator):
         return self._evaluate_partially_mitigated(params)
 
     def _evaluate_partially_mitigated(self, params: np.ndarray) -> float:
-        from ..mitigation.reconstruction import bayesian_reconstruct
+        from ..mitigation.reconstruction import bayesian_reconstruct_batch
 
         state = self.prepare_state(params)
         t = self._evaluation_index
@@ -190,26 +190,26 @@ class SelectiveVarSawEstimator(VarSawEstimator):
             i: h.result().to_pmf() for i, h in subset_handles.items()
         }
 
-        pmfs: list[PMF] = []
-        new_prior: list[PMF] = []
-        for g, basis in enumerate(self.bases):
-            if g not in self.mitigated_groups:
-                # Unselected: raw global every evaluation (baseline path).
-                raw = self._global_pmf(global_handles[g])
-                pmfs.append(raw)
-                new_prior.append(raw)
-                continue
-            locals_g = [local_pmfs[i] for i in self._compatible[g]]
-            if run_globals:
-                prior = self._global_pmf(global_handles[g])
-            else:
-                prior = self._prior[g]
-            mitigated = bayesian_reconstruct(prior, locals_g)
-            pmfs.append(mitigated)
-            new_prior.append(mitigated)
+        # Every group starts from its fresh Global when it ran one
+        # (unselected groups always: the baseline path), else from the
+        # stored prior; the mitigated groups then reconstruct in one
+        # batched call.
+        pmfs: list[PMF] = [
+            self._global_pmf(global_handles[g])
+            if g in global_handles
+            else self._prior[g]
+            for g in range(len(self.bases))
+        ]
+        mitigated = sorted(self.mitigated_groups)
+        reconstructed = bayesian_reconstruct_batch(
+            [pmfs[g] for g in mitigated],
+            [[local_pmfs[i] for i in self._compatible[g]] for g in mitigated],
+        )
+        for g, pmf in zip(mitigated, reconstructed):
+            pmfs[g] = pmf
         if run_globals:
             self.scheduler.record_global(t)
-        self._prior = new_prior
+        self._prior = pmfs
         self.scheduler.record_evaluation()
         return energy_from_group_pmfs(
             self.hamiltonian, pmfs, self.group_terms

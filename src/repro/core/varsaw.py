@@ -26,7 +26,7 @@ from ..ansatz import EfficientSU2
 from ..api import EstimatorSpec, register_estimator
 from ..api.spec import check_bool, check_choice, check_int
 from ..hamiltonian import Hamiltonian
-from ..mitigation.reconstruction import bayesian_reconstruct
+from ..mitigation.reconstruction import bayesian_reconstruct_batch
 from ..noise import SimulatorBackend
 from ..pauli import PauliString
 from ..sim import PMF
@@ -153,21 +153,24 @@ class VarSawEstimator(EstimatorBase):
         )
         batch.run()
         local_pmfs = [h.result().to_pmf() for h in subset_handles]
-
-        def locals_for(group: int) -> list[PMF]:
-            return [local_pmfs[i] for i in self._compatible[group]]
+        locals_by_group = [
+            [local_pmfs[i] for i in compatible]
+            for compatible in self._compatible
+        ]
 
         if run_globals:
-            fresh: list[PMF] = []
-            for g, handle in enumerate(global_handles):
-                fresh.append(
-                    bayesian_reconstruct(
-                        self._global_pmf(handle), locals_for(g)
-                    )
-                )
+            # One batched reconstruction: the fresh Globals, and on top
+            # the stale priors when there are any (same locals).
+            priors = [self._global_pmf(h) for h in global_handles]
+            if have_prior:
+                priors += self._prior
+                locals_by_group = locals_by_group * 2
+            mitigated = bayesian_reconstruct_batch(priors, locals_by_group)
+            groups = len(self.bases)
+            fresh = mitigated[:groups]
             self.scheduler.record_global(t)
             if have_prior:
-                stale = self._reconstruct_from_prior(locals_for)
+                stale = mitigated[groups:]
                 energy_fresh = self._energy(fresh)
                 energy_stale = self._energy(stale)
                 # Fig. 11: if the stale-prior result is at least as low,
@@ -183,18 +186,11 @@ class VarSawEstimator(EstimatorBase):
                 chosen = fresh
                 energy = self._energy(fresh)
         else:
-            chosen = self._reconstruct_from_prior(locals_for)
+            chosen = bayesian_reconstruct_batch(self._prior, locals_by_group)
             energy = self._energy(chosen)
         self._prior = chosen
         self.scheduler.record_evaluation()
         return energy
-
-    def _reconstruct_from_prior(self, locals_for) -> list[PMF]:
-        assert self._prior is not None
-        return [
-            bayesian_reconstruct(self._prior[g], locals_for(g))
-            for g in range(len(self.bases))
-        ]
 
     def _energy(self, pmfs: list[PMF]) -> float:
         return energy_from_group_pmfs(

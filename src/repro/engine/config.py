@@ -62,10 +62,16 @@ class EngineConfig:
     plan_cache_size:
         Maximum compiled :class:`~repro.sim.plan.CircuitPlan` entries,
         keyed by circuit *structure* fingerprint (one plan serves every
-        parameter binding of a structure).  ``0`` disables the plan
-        path entirely — the engine then simulates through the
-        uncompiled backend hooks, which is what the throughput
-        benchmark's "direct" row measures.
+        parameter binding of a structure).  Prepared-state jobs are
+        batched per basis-rotation suffix structure, and one workload
+        cycles through one structure per distinct rotation (on LiH-6,
+        77 for JigSaw and 109 for a VarSaw Global evaluation), so the
+        default of 256 sits above that count: a smaller LRU evicts
+        each plan before its next use and recompiles it every
+        evaluation.  ``0`` disables the plan path entirely — the
+        engine then simulates through the uncompiled backend hooks,
+        which is what the throughput benchmark's "direct" row
+        measures.
     rng_mode:
         ``"shared"`` or ``"per_job"`` — see the module docstring.
     """
@@ -73,7 +79,7 @@ class EngineConfig:
     workers: int = 1
     cache_size: int = 256
     state_cache_size: int = 64
-    plan_cache_size: int = 64
+    plan_cache_size: int = 256
     cache_bytes: int | None = None
     state_cache_bytes: int | None = None
     rng_mode: str = "shared"

@@ -463,31 +463,50 @@ class ExecutionEngine:
         return rows
 
     def _ideal_probs_state(
-        self, key: tuple, spec: StateSpec, suffix_plan: CircuitPlan | None
+        self,
+        suffix_plan: CircuitPlan | None,
+        group: list[tuple[tuple, StateSpec]],
     ) -> list[tuple]:
-        """Ideal probability row of one prepared-state spec.
+        """Ideal probability rows of prepared-state specs, one suffix plan.
 
-        Evolves the state through the cached suffix plan (when there is
-        a suffix) and charges the *combined* original gate load, exactly
-        like the backend's ``pmf_from_state``.
+        Every spec of ``group`` shares ``suffix_plan``'s structure (or
+        has no suffix when it is ``None``).  Specs holding the very same
+        state and suffix objects — a JigSaw Global and its subsets —
+        share one row; the distinct rows evolve through a single
+        compiled-plan batch, each from its own initial state.  Each spec
+        charges its *combined* original gate load, exactly like the
+        backend's ``pmf_from_state``.
         """
-        state = spec.state
-        g1, g2 = spec.gate_load
-        if suffix_plan is not None:
-            state = suffix_plan.run(
-                suffix_plan.slot_values(spec.suffix), initial_state=state
+        slots: dict[tuple[int, int], int] = {}
+        firsts: list[StateSpec] = []
+        for _, spec in group:
+            ident = (id(spec.state), id(spec.suffix))
+            if ident not in slots:
+                slots[ident] = len(firsts)
+                firsts.append(spec)
+        s1 = s2 = 0
+        if suffix_plan is None:
+            states = [spec.state for spec in firsts]
+        else:
+            states = suffix_plan.run_batch(
+                [suffix_plan.slot_values(spec.suffix) for spec in firsts],
+                initial_state=np.stack([spec.state for spec in firsts]),
             )
             s1, s2 = suffix_plan.gate_load
-            g1, g2 = g1 + s1, g2 + s2
-        n = int(np.log2(state.shape[0]))
-        return [(
-            key,
-            probabilities(state),
-            n,
-            tuple(sorted(int(q) for q in spec.measured_qubits)),
-            spec.map_to_best,
-            (g1, g2),
-        )]
+        probs = [probabilities(state) for state in states]
+        rows = []
+        for key, spec in group:
+            g1, g2 = spec.gate_load
+            row = probs[slots[(id(spec.state), id(spec.suffix))]]
+            rows.append((
+                key,
+                row,
+                int(np.log2(row.shape[0])),
+                tuple(sorted(int(q) for q in spec.measured_qubits)),
+                spec.map_to_best,
+                (g1 + s1, g2 + s2),
+            ))
+        return rows
 
     def _execute(self, jobs: list[JobHandle]) -> None:
         if not jobs:
@@ -525,8 +544,9 @@ class ExecutionEngine:
             # Phase 2: simulate.  On plan-capable backends each miss
             # contributes an *ideal probability row*: full circuits
             # sharing one structure vectorize into a single
-            # compiled-plan batch (one broadcast matmul per gate),
-            # suffix specs evolve through cached suffix plans.  The
+            # compiled-plan batch (one broadcast matmul per gate), and
+            # prepared-state specs sharing one suffix structure evolve
+            # through one batch of their cached suffix plan.  The
             # noise pipeline then advances every row at once through
             # the backend's vectorized finisher.  All of it is
             # bit-identical to the planless hooks, which keep serving
@@ -535,6 +555,9 @@ class ExecutionEngine:
             row_futures: list[object] = []
             with _obs_span("engine.simulate", simulations=len(misses)):
                 circuit_groups: dict[str, tuple[CircuitPlan, list]] = {}
+                state_groups: dict[
+                    str | None, tuple[CircuitPlan | None, list]
+                ] = {}
                 for key, spec in misses:
                     if isinstance(spec, CircuitSpec) and self._plan_batching:
                         plan = self._plan_for(spec.circuit)
@@ -544,19 +567,14 @@ class ExecutionEngine:
                     elif (
                         isinstance(spec, StateSpec) and self._suffix_plans
                     ):
-                        suffix_plan = (
-                            self._plan_for(spec.suffix)
-                            if spec.suffix is not None
-                            else None
-                        )
-                        row_futures.append(
-                            self._executor.submit(
-                                self._ideal_probs_state,
-                                key,
-                                spec,
-                                suffix_plan,
-                            )
-                        )
+                        if spec.suffix is None:
+                            suffix_plan, structure = None, None
+                        else:
+                            suffix_plan = self._plan_for(spec.suffix)
+                            structure = suffix_plan.structure_key
+                        state_groups.setdefault(
+                            structure, (suffix_plan, [])
+                        )[1].append((key, spec))
                     else:
                         futures[key] = self._executor.submit(
                             self._simulate, spec
@@ -565,6 +583,12 @@ class ExecutionEngine:
                     row_futures.append(
                         self._executor.submit(
                             self._ideal_probs_group, plan, group
+                        )
+                    )
+                for suffix_plan, group in state_groups.values():
+                    row_futures.append(
+                        self._executor.submit(
+                            self._ideal_probs_state, suffix_plan, group
                         )
                     )
                 for key, future in futures.items():

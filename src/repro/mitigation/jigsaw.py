@@ -27,7 +27,7 @@ from ..pauli import PauliString
 from ..sim import PMF
 from ..vqe.estimator import EstimatorBase
 from ..vqe.expectation import energy_from_group_pmfs
-from .reconstruction import bayesian_reconstruct
+from .reconstruction import bayesian_reconstruct_batch
 from .subsets import sliding_windows
 
 __all__ = ["JigSawEstimator", "JigSawSpec"]
@@ -68,7 +68,7 @@ class JigSawEstimator(EstimatorBase):
             self._submit_group(batch, state, basis) for basis in self.bases
         ]
         batch.run()
-        pmfs = [self._reconstruct_group(h) for h in handles]
+        pmfs = self._reconstruct_groups(handles)
         return energy_from_group_pmfs(
             self.hamiltonian, pmfs, self.group_terms
         )
@@ -99,10 +99,15 @@ class JigSawEstimator(EstimatorBase):
         return global_handle, local_handles
 
     @staticmethod
-    def _reconstruct_group(handles) -> PMF:
-        global_handle, local_handles = handles
-        locals_ = [h.result().to_pmf() for h in local_handles]
-        return bayesian_reconstruct(global_handle.result().to_pmf(), locals_)
+    def _reconstruct_groups(handles) -> list[PMF]:
+        """Reconstruct every group's handles in one batched call."""
+        return bayesian_reconstruct_batch(
+            [global_handle.result().to_pmf() for global_handle, _ in handles],
+            [
+                [h.result().to_pmf() for h in local_handles]
+                for _, local_handles in handles
+            ],
+        )
 
     def mitigated_group_pmf(
         self, state: np.ndarray, basis: PauliString
@@ -111,7 +116,7 @@ class JigSawEstimator(EstimatorBase):
         batch = self.engine.new_batch()
         handles = self._submit_group(batch, state, basis)
         batch.run()
-        return self._reconstruct_group(handles)
+        return self._reconstruct_groups([handles])[0]
 
     @property
     def circuits_per_evaluation(self) -> int:

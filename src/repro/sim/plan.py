@@ -212,10 +212,14 @@ class CircuitPlan:
     ) -> np.ndarray:
         """Execute many bindings at once; return shape ``(B, 2**n)``.
 
-        ``bindings`` is a sequence of slot-value vectors.  The whole
-        batch advances through each gate with one broadcast ``matmul``
-        over the ``(batch, 2, ..., 2)`` stacked state; row ``b`` of the
-        result is bit-identical to ``run(bindings[b], initial_state)``.
+        ``bindings`` is a sequence of slot-value vectors.
+        ``initial_state`` is ``None`` (every row starts in ``|0...0>``),
+        one statevector shared by every row, or a ``(B, 2**n)`` array
+        holding row ``b``'s own initial state.  The whole batch advances
+        through each gate with one broadcast ``matmul`` over the
+        ``(batch, 2, ..., 2)`` stacked state; row ``b`` of the result is
+        bit-identical to ``run(bindings[b], initial_state)`` (with row
+        ``b`` of a per-row ``initial_state``).
         """
         rows = [self._check_values(v) for v in bindings]
         batch = len(rows)
@@ -224,6 +228,13 @@ class CircuitPlan:
         states = np.zeros((batch, self._dim), dtype=complex)
         if initial_state is None:
             states[:, 0] = 1.0
+        elif initial_state.ndim == 2:
+            if initial_state.shape != (batch, self._dim):
+                raise ValueError(
+                    f"per-row initial states have shape "
+                    f"{initial_state.shape}; expected {(batch, self._dim)}"
+                )
+            states[:] = initial_state
         else:
             states[:] = self._initial(initial_state)
         ops = self._ops

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.backends.clifford import CliffordBackend
 from repro.backends.density import DensityBackend
 from repro.engine import EngineConfig
 from repro.engine.engine import ExecutionEngine
 from repro.engine.spec import CircuitSpec
 from repro.circuits import Circuit
-from repro.noise import SimulatorBackend
+from repro.noise import SimulatorBackend, ibmq_mumbai_like
+from repro.pauli import PauliString
 from repro.sim import PMF
+from repro.workloads import make_workload
 
 
 def ansatz(theta, phi=0.25):
@@ -78,6 +81,22 @@ class TestPlanCache:
         assert stats.misses == 0 and stats.hits == 0
         engine.close()
 
+    def test_plan_cache_holds_every_rotation_structure_of_lih6(self):
+        """LiH-6 JigSaw cycles through 77 basis-rotation structures.
+
+        With the default cache they all stay resident: once two
+        evaluations have compiled them, a third compiles nothing.
+        """
+        workload = make_workload("LiH-6")
+        with Session(ibmq_mumbai_like(scale=2.0), seed=3) as session:
+            estimator = session.estimator("jigsaw", workload, shots=64)
+            params = np.linspace(-1.0, 1.0, workload.ansatz.num_parameters)
+            estimator.evaluate(params)
+            estimator.evaluate(params + 0.1)
+            before = session.stats().plan_cache.misses
+            estimator.evaluate(params + 0.2)
+            assert session.stats().plan_cache.misses == before
+
 
 class TestPlanPathBitIdentity:
     def test_plan_path_matches_scalar_path_bitwise(self, noisy_device):
@@ -94,6 +113,49 @@ class TestPlanPathBitIdentity:
                 ),
             )
             handles = run_trace(engine, thetas)
+            engine.close()
+            return handles
+
+        planned = run(64)
+        scalar = run(0)
+        for a, b in zip(planned, scalar):
+            assert np.array_equal(a.pmf().probs, b.pmf().probs)
+            assert a.result().data == b.result().data
+
+    def test_state_specs_match_planless_path_bitwise(self, noisy_device):
+        """Prepared-state jobs batched by suffix structure, vs one by one.
+
+        Mixes two states, suffixes of one structure with different
+        bindings, a second structure, no suffix, and specs that share
+        both state and suffix objects (one simulated row).
+        """
+        prep = ExecutionEngine(SimulatorBackend(noisy_device, seed=7))
+        states = [prep.prepare_state(ansatz(t)) for t in (0.3, -1.1)]
+        prep.close()
+        rotations = [PauliString(p).basis_rotation() for p in ("XYZ", "YXZ")]
+        tilted = Circuit(3)
+        tilted.ry(0.4, 1)
+        tilted.rz(-0.2, 2)
+        jobs = [
+            (state, suffix, measured, best)
+            for state in states
+            for suffix in rotations + [tilted, None]
+            for measured, best in (((0, 1, 2), False), ((1, 2), True))
+        ]
+
+        def run(plan_cache_size):
+            engine = ExecutionEngine(
+                SimulatorBackend(noisy_device, seed=7),
+                EngineConfig(cache_size=0, plan_cache_size=plan_cache_size),
+            )
+            batch = engine.new_batch()
+            handles = [
+                batch.submit_state(
+                    state, suffix, measured, 64, best, gate_load=(5, 2)
+                )
+                for state, suffix, measured, best in jobs
+            ]
+            batch.run()
             engine.close()
             return handles
 

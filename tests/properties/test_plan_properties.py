@@ -89,6 +89,28 @@ class TestPlanBitIdentity:
         for row, binding in zip(batch, bindings):
             assert np.array_equal(row, plan.run(binding))
 
+    @given(
+        full_gateset_circuits(max_qubits=4),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_run_batch_per_row_initial_states_match_scalar_runs_bitwise(
+        self, qc, copies, seed
+    ):
+        plan = compile_plan(qc)
+        values = plan.slot_values(qc)
+        bindings = [
+            [v - 0.02 * i for v in values] for i in range(copies)
+        ]
+        rng = np.random.default_rng(seed)
+        shape = (copies, 2**qc.n_qubits)
+        initial = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        initial /= np.linalg.norm(initial, axis=1)[:, None]
+        batch = plan.run_batch(bindings, initial_state=initial)
+        for row, binding, start in zip(batch, bindings, initial):
+            assert np.array_equal(row, plan.run(binding, initial_state=start))
+
     @given(full_gateset_circuits(max_qubits=3))
     @settings(max_examples=60, deadline=None)
     def test_gate_load_counts_the_original_circuit(self, qc):

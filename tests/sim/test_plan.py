@@ -169,6 +169,18 @@ class TestExecution:
         for row, values in zip(batch, bindings):
             assert np.array_equal(row, plan.run(values))
 
+    def test_run_batch_per_row_initial_states(self):
+        plan = compile_plan(ansatz())
+        starts = np.eye(8, dtype=complex)[[1, 6]]
+        bindings = [[0.1, 0.2], [1.3, -0.7]]
+        batch = plan.run_batch(bindings, initial_state=starts)
+        for row, values, start in zip(batch, bindings, starts):
+            assert np.array_equal(row, plan.run(values, initial_state=start))
+        # The caller's rows are copied, never evolved in place.
+        assert np.array_equal(starts, np.eye(8, dtype=complex)[[1, 6]])
+        with pytest.raises(ValueError, match="per-row initial states"):
+            plan.run_batch(bindings, initial_state=starts[:1])
+
     def test_run_batch_empty(self):
         plan = compile_plan(ansatz())
         assert compile_plan(ansatz()).run_batch([]).shape == (0, 8)
