@@ -275,10 +275,6 @@ class CalibrationGatedVarSawEstimator(VarSawEstimator):
             window=self.plan.window,
             assignments=[self.plan.assignments[i] for i in kept],
         )
-        self._subset_rotations = [
-            self.plan.rotation_circuit(i)
-            for i in range(self.plan.num_subsets)
-        ]
         self._compatible = [
             self.plan.compatible_with(basis) for basis in self.bases
         ]

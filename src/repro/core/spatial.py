@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..circuits import Circuit
 from ..hamiltonian import Hamiltonian
 from ..mitigation.subsets import count_term_subsets, sliding_windows
 from ..pauli import PauliString
@@ -120,16 +119,16 @@ class SubsetPlan:
     def support(self, index: int) -> tuple[int, ...]:
         return tuple(sorted(self.assignments[index]))
 
-    def rotation_circuit(self, index: int) -> Circuit:
-        """Basis-change suffix for subset ``index`` (X -> H, Y -> S†H)."""
-        qc = Circuit(self.n_qubits, name=f"subset_{index}")
-        for q, char in sorted(self.assignments[index].items()):
-            if char == "X":
-                qc.h(q)
-            elif char == "Y":
-                qc.sdg(q)
-                qc.h(q)
-        return qc
+    def basis_label(self, index: int) -> str:
+        """Full-width Pauli label of subset ``index`` ('I' off support).
+
+        The engine measures the subset in this basis (X -> H,
+        Y -> S†H on each assigned position).
+        """
+        chars = ["I"] * self.n_qubits
+        for q, char in self.assignments[index].items():
+            chars[q] = char
+        return "".join(chars)
 
     def compatible_with(self, basis: PauliString) -> list[int]:
         """Subset indices usable for a group measured in ``basis``.

@@ -86,10 +86,6 @@ class VarSawEstimator(EstimatorBase):
             initial_period=initial_period,
             max_period=max_period,
         )
-        self._subset_rotations = [
-            self.plan.rotation_circuit(i)
-            for i in range(self.plan.num_subsets)
-        ]
         # Subset indices usable for each measurement group (by position —
         # two groups may share a Z-filled basis but stay distinct circuits).
         self._compatible: list[list[int]] = [
@@ -105,7 +101,7 @@ class VarSawEstimator(EstimatorBase):
         """Queue one reduced subset circuit; return its job handle."""
         return batch.submit_state(
             state,
-            self._subset_rotations[index],
+            self.plan.basis_label(index),
             self.plan.support(index),
             self.subset_shots,
             map_to_best=True,
@@ -116,7 +112,7 @@ class VarSawEstimator(EstimatorBase):
         """Queue one Global circuit; return its job handle."""
         return batch.submit_state(
             state,
-            self.rotation_for(basis),
+            basis.label,
             range(self.n_qubits),
             self.shots,
             map_to_best=False,

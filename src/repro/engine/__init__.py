@@ -14,7 +14,7 @@ Typical use::
 
     engine = ExecutionEngine(backend, EngineConfig(workers=4))
     batch = engine.new_batch()
-    handle = batch.submit_state(state, rotation, range(n), shots=512)
+    handle = batch.submit_state(state, "XYZZ", range(n), shots=512)
     batch.run()
     counts = handle.result()
     print(engine.stats.pmf_cache.hit_rate)

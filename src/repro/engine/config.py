@@ -62,16 +62,15 @@ class EngineConfig:
     plan_cache_size:
         Maximum compiled :class:`~repro.sim.plan.CircuitPlan` entries,
         keyed by circuit *structure* fingerprint (one plan serves every
-        parameter binding of a structure).  Prepared-state jobs are
-        batched per basis-rotation suffix structure, and one workload
-        cycles through one structure per distinct rotation (on LiH-6,
-        77 for JigSaw and 109 for a VarSaw Global evaluation), so the
-        default of 256 sits above that count: a smaller LRU evicts
-        each plan before its next use and recompiles it every
-        evaluation.  ``0`` disables the plan path entirely — the
-        engine then simulates through the uncompiled backend hooks,
-        which is what the throughput benchmark's "direct" row
-        measures.
+        parameter binding of a structure).  Pauli measurement bases
+        need no plan (they run as one product-basis pass per batch),
+        so a VQE session holds its ansatz plus, under general
+        commutation grouping, one plan per diagonalization structure;
+        the default of 256 leaves room for full-circuit workloads with
+        many structures.  ``0`` disables the plan path and the
+        product-basis pass entirely — the engine then simulates
+        through the uncompiled backend hooks, which is what the
+        throughput benchmark's "direct" row measures.
     rng_mode:
         ``"shared"`` or ``"per_job"`` — see the module docstring.
     """

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,8 +38,15 @@ from ..circuits import Circuit
 from ..noise.backend import SimulatorBackend as _DenseBackend
 from ..obs import REGISTRY as _METRICS
 from ..obs import span as _obs_span
+from ..pauli import PauliString
 from ..sim import PMF, Counts, probabilities
-from ..sim.plan import CircuitPlan, compile_plan, structure_fingerprint
+from ..sim.plan import (
+    CircuitPlan,
+    basis_gate_load,
+    basis_probabilities,
+    compile_plan,
+    structure_fingerprint,
+)
 from .cache import CacheStats, LRUCache
 from .config import EngineConfig
 from .executor import make_executor
@@ -94,6 +102,12 @@ _AUTO_STATE_ENTRIES = 16
 #: ... but never a budget smaller than this (narrow workloads stay
 #: effectively entry-bounded).
 _AUTO_FLOOR_BYTES = 16 * 2**20
+
+
+@lru_cache(maxsize=4096)
+def _basis_rotation(label: str) -> Circuit:
+    """The suffix circuit of a Pauli basis label (never mutated)."""
+    return PauliString(label).basis_rotation()
 
 
 def _resolve_byte_budget(
@@ -215,20 +229,31 @@ class Batch:
     def submit_state(
         self,
         state: np.ndarray,
-        suffix: Circuit | None,
+        basis: str | Circuit | None,
         measured_qubits,
         shots: int,
         map_to_best: bool = False,
         gate_load: tuple[int, int] = (0, 0),
     ) -> JobHandle:
-        """Queue a prepared state + basis suffix (a :class:`StateSpec`)."""
+        """Queue a prepared state measured in a basis (a :class:`StateSpec`).
+
+        ``basis`` is a Pauli label (``"XYZI"``, qubit 0 leftmost), a
+        suffix :class:`Circuit` for non-product bases, or ``None`` for
+        the computational basis.
+        """
         digest = self._state_digests.get(id(state))
         if digest is None:
             digest = state_digest(state)
             self._state_digests[id(state)] = digest
+        suffix = None
+        if isinstance(basis, Circuit):
+            basis, suffix = None, basis
+        elif basis is None:
+            basis = "I" * (state.shape[0].bit_length() - 1)
         return self.submit(
             StateSpec(
                 state=state,
+                basis=basis,
                 suffix=suffix,
                 measured_qubits=tuple(measured_qubits),
                 shots=shots,
@@ -427,9 +452,12 @@ class ExecutionEngine:
             return self.backend.exact_pmf(
                 spec.circuit, map_to_best=spec.map_to_best
             )
+        suffix = spec.suffix
+        if spec.basis is not None:
+            suffix = _basis_rotation(spec.basis)
         return self.backend.pmf_from_state(
             spec.state,
-            spec.suffix,
+            suffix,
             spec.measured_qubits,
             map_to_best=spec.map_to_best,
             gate_load=spec.gate_load,
@@ -462,51 +490,87 @@ class ExecutionEngine:
             ))
         return rows
 
-    def _ideal_probs_state(
-        self,
-        suffix_plan: CircuitPlan | None,
-        group: list[tuple[tuple, StateSpec]],
-    ) -> list[tuple]:
-        """Ideal probability rows of prepared-state specs, one suffix plan.
+    @staticmethod
+    def _state_rows(
+        group: list[tuple[tuple, StateSpec]], ident
+    ) -> tuple[list[StateSpec], list[int]]:
+        """Distinct simulation rows of ``group`` under ``ident(spec)``.
 
-        Every spec of ``group`` shares ``suffix_plan``'s structure (or
-        has no suffix when it is ``None``).  Specs holding the very same
-        state and suffix objects — a JigSaw Global and its subsets —
-        share one row; the distinct rows evolve through a single
-        compiled-plan batch, each from its own initial state.  Each spec
-        charges its *combined* original gate load, exactly like the
-        backend's ``pmf_from_state``.
+        Specs holding the very same state and basis — a JigSaw Global
+        and its subsets — share one row.  Returns the first spec of
+        each row and every spec's row index.
         """
-        slots: dict[tuple[int, int], int] = {}
+        slots: dict[tuple, int] = {}
         firsts: list[StateSpec] = []
+        index: list[int] = []
         for _, spec in group:
-            ident = (id(spec.state), id(spec.suffix))
-            if ident not in slots:
-                slots[ident] = len(firsts)
+            key = ident(spec)
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = len(firsts)
                 firsts.append(spec)
-        s1 = s2 = 0
-        if suffix_plan is None:
-            states = [spec.state for spec in firsts]
-        else:
-            states = suffix_plan.run_batch(
-                [suffix_plan.slot_values(spec.suffix) for spec in firsts],
-                initial_state=np.stack([spec.state for spec in firsts]),
-            )
-            s1, s2 = suffix_plan.gate_load
-        probs = [probabilities(state) for state in states]
+            index.append(slot)
+        return firsts, index
+
+    @staticmethod
+    def _state_prob_rows(group, probs, index, suffix_loads) -> list[tuple]:
+        """Finisher rows: each spec charges state load + suffix load."""
         rows = []
-        for key, spec in group:
+        for (key, spec), slot, (s1, s2) in zip(group, index, suffix_loads):
             g1, g2 = spec.gate_load
-            row = probs[slots[(id(spec.state), id(spec.suffix))]]
+            row = probs[slot]
             rows.append((
                 key,
                 row,
-                int(np.log2(row.shape[0])),
-                tuple(sorted(int(q) for q in spec.measured_qubits)),
+                row.shape[0].bit_length() - 1,
+                tuple(sorted(spec.measured_qubits)),
                 spec.map_to_best,
                 (g1 + s1, g2 + s2),
             ))
         return rows
+
+    def _ideal_probs_product(
+        self, group: list[tuple[tuple, StateSpec]]
+    ) -> list[tuple]:
+        """Ideal probability rows of Pauli-basis specs: one product pass.
+
+        The distinct (state, basis) rows advance together through
+        :func:`~repro.sim.plan.basis_probabilities`, whatever their
+        labels; each spec charges its preparation load plus its basis
+        rotation's H/S† count.
+        """
+        firsts, index = self._state_rows(
+            group, lambda spec: (id(spec.state), spec.basis)
+        )
+        probs = basis_probabilities(
+            np.stack([spec.state for spec in firsts]),
+            [spec.basis for spec in firsts],
+        )
+        loads = [basis_gate_load(spec.basis) for _, spec in group]
+        return self._state_prob_rows(group, probs, index, loads)
+
+    def _ideal_probs_state(
+        self, suffix_plan: CircuitPlan, group: list[tuple[tuple, StateSpec]]
+    ) -> list[tuple]:
+        """Ideal probability rows of suffix-circuit specs, one plan.
+
+        Only non-product suffixes (the general-commutation estimator's
+        entangling diagonalizations) take this route; Pauli-label bases
+        go through :meth:`_ideal_probs_product`.  Every spec of
+        ``group`` shares ``suffix_plan``'s structure; the distinct rows
+        evolve through one compiled-plan batch, each from its own
+        initial state.
+        """
+        firsts, index = self._state_rows(
+            group, lambda spec: (id(spec.state), id(spec.suffix))
+        )
+        states = suffix_plan.run_batch(
+            [suffix_plan.slot_values(spec.suffix) for spec in firsts],
+            initial_state=np.stack([spec.state for spec in firsts]),
+        )
+        probs = [probabilities(state) for state in states]
+        loads = [suffix_plan.gate_load] * len(group)
+        return self._state_prob_rows(group, probs, index, loads)
 
     def _execute(self, jobs: list[JobHandle]) -> None:
         if not jobs:
@@ -545,19 +609,18 @@ class ExecutionEngine:
             # contributes an *ideal probability row*: full circuits
             # sharing one structure vectorize into a single
             # compiled-plan batch (one broadcast matmul per gate), and
-            # prepared-state specs sharing one suffix structure evolve
-            # through one batch of their cached suffix plan.  The
-            # noise pipeline then advances every row at once through
-            # the backend's vectorized finisher.  All of it is
+            # every Pauli-basis prepared-state spec of the batch joins
+            # one product-basis pass, whatever its label.  The noise
+            # pipeline then advances every row at once through the
+            # backend's vectorized finisher.  All of it is
             # bit-identical to the planless hooks, which keep serving
             # backends that override them.
             futures: dict[tuple, object] = {}
             row_futures: list[object] = []
             with _obs_span("engine.simulate", simulations=len(misses)):
                 circuit_groups: dict[str, tuple[CircuitPlan, list]] = {}
-                state_groups: dict[
-                    str | None, tuple[CircuitPlan | None, list]
-                ] = {}
+                state_groups: dict[str, tuple[CircuitPlan, list]] = {}
+                product: dict[int, list] = {}
                 for key, spec in misses:
                     if isinstance(spec, CircuitSpec) and self._plan_batching:
                         plan = self._plan_for(spec.circuit)
@@ -567,14 +630,18 @@ class ExecutionEngine:
                     elif (
                         isinstance(spec, StateSpec) and self._suffix_plans
                     ):
-                        if spec.suffix is None:
-                            suffix_plan, structure = None, None
+                        if spec.basis is not None:
+                            product.setdefault(len(spec.basis), []).append(
+                                (key, spec)
+                            )
                         else:
+                            # Non-product suffixes (the GC estimator's
+                            # entangling diagonalizations) are the only
+                            # users of per-structure suffix plans.
                             suffix_plan = self._plan_for(spec.suffix)
-                            structure = suffix_plan.structure_key
-                        state_groups.setdefault(
-                            structure, (suffix_plan, [])
-                        )[1].append((key, spec))
+                            state_groups.setdefault(
+                                suffix_plan.structure_key, (suffix_plan, [])
+                            )[1].append((key, spec))
                     else:
                         futures[key] = self._executor.submit(
                             self._simulate, spec
@@ -583,6 +650,12 @@ class ExecutionEngine:
                     row_futures.append(
                         self._executor.submit(
                             self._ideal_probs_group, plan, group
+                        )
+                    )
+                for group in product.values():
+                    row_futures.append(
+                        self._executor.submit(
+                            self._ideal_probs_product, group
                         )
                     )
                 for suffix_plan, group in state_groups.values():

@@ -2,8 +2,9 @@
 
 A *spec* is everything needed to reproduce one device execution: either a
 full bound circuit (:class:`CircuitSpec`) or a prepared ansatz state plus
-a measurement-basis suffix (:class:`StateSpec` — the prepared-state
-fast path, finished by the backend's ``pmf_from_state``).  Specs are
+a measurement basis (:class:`StateSpec` — the prepared-state fast path).
+The basis is a qubit-wise Pauli label (every VarSaw/JigSaw/baseline
+measurement) or, for non-product bases, a suffix circuit.  Specs are
 immutable once submitted.
 
 Each spec exposes a :meth:`fingerprint`: a digest over the exact content
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,6 +56,19 @@ def _feed_circuit(h, circuit: Circuit) -> None:
     h.update(
         f"|m:{','.join(map(str, sorted(circuit.measured_qubits)))}".encode()
     )
+
+
+@lru_cache(maxsize=4096)
+def _normalize_basis(label: str) -> str:
+    """Canonical form of a Pauli basis label: upper case, Z read as I.
+
+    I and Z both measure a qubit as is (no rotation gate), so two labels
+    dedup exactly when their basis rotations apply the same gates.
+    """
+    label = label.upper()
+    if label.strip("IXYZ"):
+        raise ValueError(f"invalid Pauli basis label {label!r}")
+    return label.replace("Z", "I")
 
 
 def circuit_fingerprint(circuit: Circuit) -> str:
@@ -144,22 +159,39 @@ class CircuitSpec:
 class StateSpec:
     """One prepared-state execution request (``Batch.submit_state``).
 
+    The measurement basis is exactly one of ``basis`` — a Pauli label
+    such as ``"XYZI"`` (qubit 0 leftmost), stored with Z read as I —
+    or ``suffix``, a circuit applied before measurement (the general
+    commutation estimator's entangling diagonalizations).
     ``gate_load`` is the (one-qubit, two-qubit) gate count of the state
-    preparation, charged to depolarizing noise on top of the suffix.
-    ``digest`` is an optional precomputed :func:`state_digest` of
-    ``state`` (an optimization for batches whose specs share a state);
-    when given, it MUST match the array's content.
+    preparation, charged to depolarizing noise on top of the basis
+    change.  ``digest`` is an optional precomputed :func:`state_digest`
+    of ``state`` (an optimization for batches whose specs share a
+    state); when given, it MUST match the array's content.
     """
 
     state: np.ndarray = field(repr=False)
-    suffix: Circuit | None
     measured_qubits: tuple[int, ...]
     shots: int
+    basis: str | None = None
+    suffix: Circuit | None = None
     map_to_best: bool = False
     gate_load: tuple[int, int] = (0, 0)
     digest: str | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        if (self.basis is None) == (self.suffix is None):
+            raise ValueError(
+                "a StateSpec takes exactly one of basis= or suffix="
+            )
+        if self.basis is not None:
+            basis = _normalize_basis(self.basis)
+            if 2 ** len(basis) != self.state.shape[0]:
+                raise ValueError(
+                    f"basis {basis!r} does not match a state of length "
+                    f"{self.state.shape[0]}"
+                )
+            object.__setattr__(self, "basis", basis)
         object.__setattr__(
             self,
             "measured_qubits",
@@ -176,14 +208,16 @@ class StateSpec:
             raise ValueError("no measured qubits")
 
     def fingerprint(self) -> str:
-        """Content digest over state bytes + suffix + measurement."""
+        """Content digest over state bytes + basis + measurement."""
         h = _hasher()
         h.update(b"s:")
         digest = self.digest
         if digest is None:
             digest = state_digest(self.state)
         h.update(digest.encode())
-        if self.suffix is not None:
+        if self.basis is not None:
+            h.update(f"|p:{self.basis}".encode())
+        else:
             _feed_circuit(h, self.suffix)
         h.update(
             f"|m:{','.join(map(str, sorted(self.measured_qubits)))}"

@@ -76,10 +76,9 @@ class JigSawEstimator(EstimatorBase):
     def _submit_group(self, batch, state: np.ndarray, basis: PauliString):
         """Queue one group's Global + subset circuits; return the handles."""
         gate_load = self.ansatz.gate_load
-        rotation = self.rotation_for(basis)
         global_handle = batch.submit_state(
             state,
-            rotation,
+            basis.label,
             range(self.n_qubits),
             self.shots,
             map_to_best=False,
@@ -88,7 +87,7 @@ class JigSawEstimator(EstimatorBase):
         local_handles = [
             batch.submit_state(
                 state,
-                rotation,
+                basis.label,
                 window,
                 self.subset_shots,
                 map_to_best=True,

@@ -212,12 +212,14 @@ class SimulatorBackend:
         )
 
     def supports_suffix_plans(self) -> bool:
-        """Whether the engine may apply basis suffixes via compiled plans.
+        """Whether the engine may apply measurement bases itself.
 
-        The engine evolves a prepared state through a cached suffix plan
-        and finishes the result through the shared noise pipeline with
-        the combined gate load — valid only while this instance inherits
-        the dense state-plus-suffix pipeline.
+        The engine rotates prepared states into their Pauli bases in
+        one product-basis pass (or evolves them through a cached suffix
+        plan for non-product suffixes) and finishes the result through
+        the shared noise pipeline with the combined gate load — valid
+        only while this instance inherits the dense state-plus-suffix
+        pipeline.
         """
         cls = type(self)
         return (

@@ -49,7 +49,7 @@ def _parity_signs(n: int, support: tuple[int, ...]) -> np.ndarray:
 class PauliString:
     """An n-qubit Pauli operator written as a string, e.g. 'ZXIZ'."""
 
-    __slots__ = ("label",)
+    __slots__ = ("label", "_support")
 
     def __init__(self, label: str):
         label = label.upper()
@@ -59,9 +59,18 @@ class PauliString:
         if bad:
             raise ValueError(f"invalid Pauli characters {sorted(bad)}")
         object.__setattr__(self, "label", label)
+        # Energy assembly reads the support several times per term
+        # (identity check, weight, parity signs); derive it once.
+        support = tuple(i for i, c in enumerate(label) if c != "I")
+        object.__setattr__(self, "_support", support)
 
     def __setattr__(self, name, value):
         raise AttributeError("PauliString is immutable")
+
+    def __reduce__(self):
+        # Slot-state restore would go through the guarding __setattr__;
+        # rebuild from the label instead (pickle and copy both use this).
+        return (PauliString, (self.label,))
 
     # ------------------------------------------------------------ constructors
 
@@ -92,15 +101,15 @@ class PauliString:
     @property
     def support(self) -> tuple[int, ...]:
         """Positions with a non-identity Pauli."""
-        return tuple(i for i, c in enumerate(self.label) if c != "I")
+        return self._support
 
     @property
     def weight(self) -> int:
         """Number of non-identity positions."""
-        return len(self.support)
+        return len(self._support)
 
     def is_identity(self) -> bool:
-        return self.weight == 0
+        return not self._support
 
     def __getitem__(self, index: int) -> str:
         return self.label[index]
@@ -190,7 +199,7 @@ class PauliString:
             raise ValueError("probability vector has wrong length")
         if self.is_identity():
             return 1.0
-        return float(np.dot(_parity_signs(n, self.support), probs))
+        return float(np.dot(_parity_signs(n, self._support), probs))
 
     # ----------------------------------------------------------------- matrix
 

@@ -29,6 +29,13 @@ GEMM per batch element over the same operands the single-state path
 uses, so batched amplitudes are bit-identical to running each binding
 alone.
 
+:func:`basis_probabilities` is the plan arithmetic specialised to
+qubit-wise Pauli measurement bases (every VarSaw/JigSaw Global and
+subset suffix): a basis rotation is a tensor product of one-qubit
+gates, so rows with *different* bases still advance together, each
+gate applied to the subset of rows whose label asks for it.  No plan
+is compiled or cached for it.
+
 Correctness contract (pinned by ``tests/properties``): for any bound
 circuit, ``probabilities(plan.run(plan.slot_values(c)))`` is
 **bit-identical** to ``probabilities(run_statevector(c))``.  Canceled
@@ -50,7 +57,22 @@ import numpy as np
 from ..circuits import Circuit, ROTATION_GATES, gate_matrix, rotation_matrix
 from ..circuits.transpile import BITEXACT_SELF_INVERSE, cancel_adjacent
 
-__all__ = ["CircuitPlan", "compile_plan", "structure_fingerprint"]
+__all__ = [
+    "CircuitPlan",
+    "basis_gate_load",
+    "basis_probabilities",
+    "compile_plan",
+    "structure_fingerprint",
+]
+
+#: The one-qubit gates of a Pauli measurement basis, in the order
+#: ``PauliString.basis_rotation`` emits them on each qubit (Y -> S†
+#: then H, X -> H, I/Z -> nothing), with the label characters that
+#: need each gate.
+_BASIS_STEPS = (
+    ("Y", gate_matrix("sdg")),
+    ("XY", gate_matrix("h")),
+)
 
 
 def structure_fingerprint(circuit: Circuit) -> str:
@@ -289,3 +311,46 @@ def compile_plan(circuit: Circuit) -> CircuitPlan:
         structure_key=structure_fingerprint(circuit),
         fused_gates=len(circuit.instructions) - len(ops),
     )
+
+
+def basis_gate_load(label: str) -> tuple[int, int]:
+    """(1q, 2q) gate count of ``label``'s basis rotation (H, S†H)."""
+    return (label.count("X") + 2 * label.count("Y"), 0)
+
+
+def basis_probabilities(states: np.ndarray, labels) -> np.ndarray:
+    """Outcome probabilities of states measured in Pauli bases.
+
+    ``states`` is a ``(B, 2**n)`` array and ``labels`` holds one
+    ``n``-character IXYZ label per row.  Qubit by qubit in ascending
+    order, the rows whose label has Y there get S†, then the rows with
+    X or Y get H, each through the compiled plans' arithmetic
+    (``transpose -> reshape(k, 2, -1) -> matmul -> inverse
+    transpose`` on the row subset).  Row ``b`` of the result is
+    bit-identical to ``probabilities(plan.run([], states[b]))`` for
+    ``plan = compile_plan(PauliString(labels[b]).basis_rotation())``.
+    """
+    batch, dim = states.shape
+    n = dim.bit_length() - 1
+    if dim != 2**n:
+        raise ValueError(f"state length {dim} is not a power of two")
+    if len(labels) != batch or any(len(label) != n for label in labels):
+        raise ValueError(f"expected {batch} labels of width {n}")
+    shape = (batch,) + (2,) * n
+    tensor = np.array(states, dtype=complex).reshape(shape)
+    for q in range(n):
+        perm = (0, q + 1) + tuple(p + 1 for p in range(n) if p != q)
+        inv_perm = tuple(int(i) for i in np.argsort(perm))
+        for chars, matrix in _BASIS_STEPS:
+            rows = [b for b, label in enumerate(labels) if label[q] in chars]
+            if not rows:
+                continue
+            k = len(rows)
+            tmp = tensor[rows].transpose(perm).reshape(k, 2, -1)
+            out = matrix @ tmp
+            tensor[rows] = out.reshape((k,) + shape[1:]).transpose(inv_perm)
+    probs = np.abs(tensor.reshape(batch, dim)) ** 2
+    totals = probs.sum(axis=1)
+    if batch and totals.min() <= 0:
+        raise ValueError("statevector has zero norm")
+    return probs / totals[:, None]

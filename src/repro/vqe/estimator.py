@@ -23,11 +23,9 @@ import numpy as np
 from ..ansatz import EfficientSU2
 from ..api import EstimatorSpec, register_estimator
 from ..api.spec import check_int
-from ..circuits import Circuit
 from ..engine import ensure_engine
 from ..hamiltonian import Hamiltonian
 from ..noise import SimulatorBackend
-from ..pauli import PauliString
 from ..sim import PMF
 from .expectation import assign_terms_to_groups, energy_from_group_pmfs
 
@@ -41,7 +39,7 @@ __all__ = [
 
 
 class EstimatorBase:
-    """Shared plumbing: grouping, cached basis rotations, state preparation."""
+    """Shared plumbing: measurement grouping and state preparation."""
 
     def __init__(
         self,
@@ -64,9 +62,6 @@ class EstimatorBase:
         self.engine = ensure_engine(engine, backend)
         self.shots = shots
         self.bases, self.group_terms = assign_terms_to_groups(hamiltonian)
-        self._rotations: dict[PauliString, Circuit] = {
-            basis: basis.basis_rotation() for basis in set(self.bases)
-        }
 
     @property
     def n_qubits(self) -> int:
@@ -93,9 +88,6 @@ class EstimatorBase:
             [self.ansatz.bind(params) for params in params_list]
         )
 
-    def rotation_for(self, basis: PauliString) -> Circuit:
-        return self._rotations[basis]
-
     # Cost bookkeeping delegates to the backend's ledger.
     @property
     def circuits_run(self) -> int:
@@ -116,7 +108,7 @@ class BaselineEstimator(EstimatorBase):
         handles = [
             batch.submit_state(
                 state,
-                self.rotation_for(basis),
+                basis.label,
                 range(self.n_qubits),
                 self.shots,
                 map_to_best=False,

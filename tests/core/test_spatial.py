@@ -84,10 +84,13 @@ class TestSubsetPlan:
             assert list(support) == sorted(support)
             assert len(support) <= plan.window
 
-    def test_rotation_circuits_match_assignment(self, fig6_paulis):
+    def test_basis_labels_match_assignment(self, fig6_paulis):
         plan = varsaw_subset_plan(fig6_paulis, window=2)
         for i, assignment in enumerate(plan.assignments):
-            rotation = plan.rotation_circuit(i)
+            label = plan.basis_label(i)
+            assert len(label) == plan.n_qubits
+            assert PauliString(label).sparse() == assignment
+            rotation = PauliString(label).basis_rotation()
             h_qubits = {
                 ins.qubits[0]
                 for ins in rotation.instructions

@@ -218,10 +218,10 @@ class TestSpecs:
     def test_nonpositive_shots_rejected(self):
         with pytest.raises(ValueError):
             CircuitSpec(ghz(), shots=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shots"):
             StateSpec(
                 state=np.array([1.0 + 0j, 0.0]),
-                suffix=None,
+                basis="I",
                 measured_qubits=(0,),
                 shots=0,
             )
@@ -234,6 +234,36 @@ class TestSpecs:
         qc.measure_all()
         with pytest.raises(ValueError):
             circuit_fingerprint(qc)
+
+    @pytest.mark.parametrize(
+        "basis, suffix",
+        [(None, None), ("XY", Circuit(2))],
+        ids=["neither", "both"],
+    )
+    def test_state_spec_takes_exactly_one_basis(self, basis, suffix):
+        with pytest.raises(ValueError, match="exactly one"):
+            StateSpec(
+                state=np.array([1.0 + 0j, 0.0, 0.0, 0.0]),
+                measured_qubits=(0, 1),
+                shots=8,
+                basis=basis,
+                suffix=suffix,
+            )
+
+    def test_state_spec_basis_label_is_validated(self):
+        state = np.array([1.0 + 0j, 0.0, 0.0, 0.0])
+        for label in ("XQ", "XYZ"):
+            with pytest.raises(ValueError):
+                StateSpec(state, (0, 1), 8, basis=label)
+
+    def test_z_and_i_bases_share_one_fingerprint(self):
+        """Z and I both measure as is: same gates, same spec content."""
+        state = np.array([0.6 + 0j, 0.0, 0.8j, 0.0])
+        z = StateSpec(state, (0, 1), 8, basis="xz")
+        i = StateSpec(state, (0, 1), 8, basis="XI")
+        y = StateSpec(state, (0, 1), 8, basis="YI")
+        assert z.basis == i.basis == "XI"
+        assert z.fingerprint() == i.fingerprint() != y.fingerprint()
 
     def test_fingerprint_sensitivity(self):
         base = ghz()

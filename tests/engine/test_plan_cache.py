@@ -81,21 +81,19 @@ class TestPlanCache:
         assert stats.misses == 0 and stats.hits == 0
         engine.close()
 
-    def test_plan_cache_holds_every_rotation_structure_of_lih6(self):
-        """LiH-6 JigSaw cycles through 77 basis-rotation structures.
+    def test_lih6_jigsaw_compiles_only_the_ansatz(self):
+        """LiH-6 JigSaw measures 77 bases, and none needs a plan.
 
-        With the default cache they all stay resident: once two
-        evaluations have compiled them, a third compiles nothing.
+        Basis rotations run as one product-basis pass, so three
+        evaluations compile exactly one plan: the ansatz's.
         """
         workload = make_workload("LiH-6")
         with Session(ibmq_mumbai_like(scale=2.0), seed=3) as session:
             estimator = session.estimator("jigsaw", workload, shots=64)
             params = np.linspace(-1.0, 1.0, workload.ansatz.num_parameters)
-            estimator.evaluate(params)
-            estimator.evaluate(params + 0.1)
-            before = session.stats().plan_cache.misses
-            estimator.evaluate(params + 0.2)
-            assert session.stats().plan_cache.misses == before
+            for shift in (0.0, 0.1, 0.2):
+                estimator.evaluate(params + shift)
+            assert session.stats().plan_cache.misses == 1
 
 
 class TestPlanPathBitIdentity:
@@ -164,6 +162,76 @@ class TestPlanPathBitIdentity:
         for a, b in zip(planned, scalar):
             assert np.array_equal(a.pmf().probs, b.pmf().probs)
             assert a.result().data == b.result().data
+
+    def test_pauli_label_specs_match_planless_path_bitwise(
+        self, noisy_device
+    ):
+        """One product-basis pass, vs each label's rotation one by one.
+
+        Mixes two states, X/Y/I/Z labels (including all-I/Z), global
+        and subset measurements, and specs sharing a state and label.
+        """
+        prep = ExecutionEngine(SimulatorBackend(noisy_device, seed=7))
+        states = [prep.prepare_state(ansatz(t)) for t in (0.3, -1.1)]
+        prep.close()
+        jobs = [
+            (state, label, measured, best)
+            for state in states
+            for label in ("XYZ", "YXZ", "ZZZ", "IYI", "XXX", "YYY")
+            for measured, best in (((0, 1, 2), False), ((1, 2), True))
+        ]
+
+        def run(plan_cache_size):
+            engine = ExecutionEngine(
+                SimulatorBackend(noisy_device, seed=7),
+                EngineConfig(cache_size=0, plan_cache_size=plan_cache_size),
+            )
+            batch = engine.new_batch()
+            handles = [
+                batch.submit_state(
+                    state, label, measured, 64, best, gate_load=(5, 2)
+                )
+                for state, label, measured, best in jobs
+            ]
+            batch.run()
+            misses = engine.stats.plan_cache.misses
+            engine.close()
+            return handles, misses
+
+        planned, compiled = run(64)
+        scalar, _ = run(0)
+        # The product pass compiles no plan at all.
+        assert compiled == 0
+        for a, b in zip(planned, scalar):
+            assert np.array_equal(a.pmf().probs, b.pmf().probs)
+            assert a.result().data == b.result().data
+
+    def test_gc_suffix_spec_matches_pmf_from_state_bitwise(
+        self, noisy_device
+    ):
+        """The suffix-plan route (entangling GC suffixes) stays exact."""
+        from repro.pauli import diagonalized_groups
+
+        terms = [PauliString(p) for p in ("XXI", "YYI", "ZZI", "IXX")]
+        groups = diagonalized_groups(terms, 3)
+        assert any(g.entangling_gates for g in groups)
+        backend = SimulatorBackend(noisy_device, seed=7)
+        engine = ExecutionEngine(backend, EngineConfig(cache_size=0))
+        state = engine.prepare_state(ansatz(0.4))
+        batch = engine.new_batch()
+        handles = [
+            batch.submit_state(
+                state, g.circuit, (0, 1, 2), 64, gate_load=(5, 2)
+            )
+            for g in groups
+        ]
+        batch.run()
+        for group, handle in zip(groups, handles):
+            expected = backend.pmf_from_state(
+                state, group.circuit, (0, 1, 2), gate_load=(5, 2)
+            )
+            assert np.array_equal(handle.pmf().probs, expected.probs)
+        engine.close()
 
     def test_prepare_states_matches_prepare_state_bitwise(
         self, noisy_device

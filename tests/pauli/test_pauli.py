@@ -1,5 +1,8 @@
 """Unit tests for PauliString."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -165,3 +168,22 @@ class TestPlumbing:
 
     def test_str(self):
         assert str(PauliString("ZZ")) == "ZZ"
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        pauli = PauliString("XIYZ")
+        for clone in (pickle.loads(pickle.dumps(pauli)), copy.deepcopy(pauli)):
+            assert clone == pauli
+            assert clone.support == (0, 2, 3)
+            with pytest.raises(AttributeError):
+                clone.label = "ZZZZ"
+
+    def test_hamiltonian_pickle_and_deepcopy_round_trip(self):
+        from repro.workloads import make_workload
+
+        hamiltonian = make_workload("H2-4").hamiltonian
+        for clone in (
+            pickle.loads(pickle.dumps(hamiltonian)),
+            copy.deepcopy(hamiltonian),
+        ):
+            assert clone.terms == hamiltonian.terms
+            assert clone.n_qubits == hamiltonian.n_qubits
